@@ -2,8 +2,8 @@
  * @file
  * Ablation A1 (paper sections 2.2/6.1 design space): lazy write-buffer
  * (TCC-style) vs eager undo-log (UTM/LogTM-style) conflict detection,
- * under requester-wins and older-wins resolution, across the
- * contention spectrum of the workload suite.
+ * under requester-wins and timestamp (older-wins) contention
+ * management, across the contention spectrum of the workload suite.
  */
 
 #include <cstdio>
@@ -21,9 +21,9 @@ void
 row(const char* name, const KernelFactory& make)
 {
     HtmConfig lazy = HtmConfig::paperLazy();
-    HtmConfig eagerRw = HtmConfig::eagerUndoLog();
-    HtmConfig eagerOw = HtmConfig::eagerUndoLog();
-    eagerOw.policy = ConflictPolicy::OlderWins;
+    HtmConfig eagerRq = HtmConfig::eagerUndoLog();
+    HtmConfig eagerTs = HtmConfig::eagerUndoLog();
+    eagerTs.contention = ContentionPolicy::Timestamp;
 
     struct Cfg
     {
@@ -31,8 +31,8 @@ row(const char* name, const KernelFactory& make)
         HtmConfig cfg;
     } cfgs[] = {
         {"lazy/wb", lazy},
-        {"eager/req-wins", eagerRw},
-        {"eager/older-wins", eagerOw},
+        {"eager/requester", eagerRq},
+        {"eager/timestamp", eagerTs},
     };
 
     std::printf("%-14s", name);
@@ -65,7 +65,7 @@ main()
                 "points at 8 CPUs\n");
     std::printf("# cycles (relative speed vs lazy/wb, higher = faster; rollbacks)\n");
     std::printf("%-14s %28s %28s %28s\n", "benchmark", "lazy/write-buffer",
-                "eager/requester-wins", "eager/older-wins");
+                "eager/requester", "eager/timestamp");
 
     row("mp3d", [] { return std::make_unique<Mp3dKernel>(); });
     row("water",

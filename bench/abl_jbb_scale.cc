@@ -17,10 +17,7 @@
  *  - contention policies at 64/128 CPUs: the PR 4 managers
  *    (timestamp/karma/hybrid) finally measured at the CPU counts they
  *    were built for, on top of the PR 1 signature-filtered sharer
- *    index which makes 128-CPU conflict lookups tractable;
- *  - sparse-vs-dense store parity: one headline cell re-runs under the
- *    dense store and every result field must match bitwise (the
- *    backing-store representation is semantics-neutral by contract).
+ *    index which makes 128-CPU conflict lookups tractable.
  *
  * With --out FILE the grid is written as JSON (curated copy:
  * BENCH_jbb_scale.json; tools/bench_trend collects the headline
@@ -185,39 +182,6 @@ main(int argc, char** argv)
     if (cres.failed)
         fatal("sweep cancelled at cell %zu: %s", cres.failedJob,
               cres.message.c_str());
-
-    // Store-parity contract, enforced every run: re-run the sharded
-    // skewed 64-CPU headline cell under the dense store and demand a
-    // bitwise-identical result (the host representation of memory
-    // must never leak into simulated behaviour). Sequential on
-    // purpose — the default store mode is process-global state.
-    {
-        const Cell headlineCell{16, 0.99, 64,
-                                ContentionPolicy::Requester, false};
-        const Row* sparseRow = nullptr;
-        for (const Row& row : rows) {
-            if (row.cell.warehouses == 16 && row.cell.zipfS == 0.99 &&
-                row.cell.cpus == 64 && !row.cell.policyCell) {
-                sparseRow = &row;
-                break;
-            }
-        }
-        setDefaultStoreMode(StoreMode::Dense);
-        const CellResult dense = runCell(headlineCell);
-        setDefaultStoreMode(StoreMode::Sparse);
-        if (!sparseRow || dense.r.cycles != sparseRow->res.r.cycles ||
-            dense.r.commits != sparseRow->res.r.commits ||
-            dense.r.rollbacks != sparseRow->res.r.rollbacks ||
-            dense.r.instructions != sparseRow->res.r.instructions ||
-            !dense.r.verified) {
-            std::printf("# VIOLATION: dense-store rerun diverged from "
-                        "sparse headline cell\n");
-            allOk = false;
-        } else {
-            std::printf("# store parity (sparse == dense, w16 s0.99 "
-                        "cpus64): ok\n");
-        }
-    }
 
     // Headline numbers for the trend file: the sharded, skewed,
     // many-core cells — scaling and tails.

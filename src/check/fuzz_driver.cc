@@ -12,8 +12,6 @@ fuzzConfigs(const FuzzProgram& program)
     HtmConfig base;
     base.granularity = program.wordGranularity ? TrackGranularity::Word
                                                : TrackGranularity::Line;
-    base.policy = program.olderWins ? ConflictPolicy::OlderWins
-                                    : ConflictPolicy::RequesterWins;
     base.contention = program.contention;
     base.rsetCap = program.rsetCap;
     base.wsetCap = program.wsetCap;

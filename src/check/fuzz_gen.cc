@@ -207,16 +207,21 @@ generateProgram(std::uint64_t seed)
     g.p.slotsPerRegion =
         std::max(g.nThreads, 3 + static_cast<int>(g.rng.below(4)));
     g.p.wordGranularity = g.rng.chancePermille(500);
-    g.p.olderWins = g.rng.chancePermille(300);
-    // Uniform draw over every contention policy (Requester = legacy
-    // pass-through): policies reschedule conflicts, never change
-    // serializability, so each seed is valid under all of them.
+    // Age-ordered arbitration on 30% of seeds. This draw predates the
+    // policy draw below and stays separate so every seed keeps its
+    // program; it turns a Requester draw into Timestamp.
+    const bool ageOrdered = g.rng.chancePermille(300);
+    // Uniform draw over every contention policy: policies reschedule
+    // conflicts, never change serializability, so each seed is valid
+    // under all of them.
     static const ContentionPolicy policies[] = {
         ContentionPolicy::Requester, ContentionPolicy::Timestamp,
         ContentionPolicy::Karma,     ContentionPolicy::Polite,
         ContentionPolicy::Hybrid,
     };
     g.p.contention = policies[g.rng.below(5)];
+    if (ageOrdered && g.p.contention == ContentionPolicy::Requester)
+        g.p.contention = ContentionPolicy::Timestamp;
 
     g.p.threads.resize(static_cast<size_t>(g.nThreads));
     for (int t = 0; t < g.nThreads; ++t) {

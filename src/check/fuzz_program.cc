@@ -129,7 +129,6 @@ FuzzProgram::serialize() const
     os << "seed " << seed << "\n";
     os << "slots " << slotsPerRegion << "\n";
     os << "word-granularity " << (wordGranularity ? 1 : 0) << "\n";
-    os << "older-wins " << (olderWins ? 1 : 0) << "\n";
     os << "contention " << contentionPolicyName(contention) << "\n";
     // Only emitted when bounded, so unbounded replay files stay
     // byte-identical to the pre-capacity format.
@@ -180,7 +179,7 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
     };
 
     long long inject = -1;
-    int wordGran = 0, older = 0;
+    int wordGran = 0;
     size_t nTxs = 0, nThreads = 0;
     if (!expectKeyed("seed", p.seed))
         return fail(err, "missing seed");
@@ -189,16 +188,18 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
         return fail(err, "bad slots");
     if (!expectKeyed("word-granularity", wordGran))
         return fail(err, "missing word-granularity");
-    if (!expectKeyed("older-wins", older))
-        return fail(err, "missing older-wins");
-    // Optional contention-policy line (absent in pre-policy replay
-    // files, which ran the legacy Requester pass-through).
+    // Optional contention-policy line (absent = requester).
     if (!std::getline(is, line))
         return fail(err, "missing inject");
     {
         std::istringstream ls(line);
         std::string k, v;
         ls >> k >> v;
+        if (k == "older-wins") {
+            return fail(err, "the older-wins line was removed; write "
+                             "'contention timestamp' for older-wins 1, "
+                             "or drop it: " + line);
+        }
         if (!ls.fail() && k == "contention") {
             if (!contentionPolicyFromName(v, p.contention))
                 return fail(err, "bad contention policy: " + line);
@@ -250,7 +251,6 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
     if (!expectKeyed("txs", nTxs) || nTxs > 10000)
         return fail(err, "bad txs count");
     p.wordGranularity = wordGran != 0;
-    p.olderWins = older != 0;
     p.injectHiddenStoreAfter = static_cast<int>(inject);
 
     p.txs.resize(nTxs);

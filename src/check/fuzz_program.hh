@@ -115,15 +115,14 @@ struct ThreadOp
 
 /**
  * A complete fuzz program. The per-seed config toggles (granularity,
- * eager policy) apply uniformly to every differential base config so
- * cross-config comparison stays apples-to-apples.
+ * contention policy) apply uniformly to every differential base config
+ * so cross-config comparison stays apples-to-apples.
  */
 struct FuzzProgram
 {
     std::uint64_t seed = 0;
     int slotsPerRegion = 4;
     bool wordGranularity = false;
-    bool olderWins = false;
 
     /** Contention-management policy applied to every differential base
      *  config. Policies reschedule conflicts but must never change a

@@ -30,8 +30,6 @@ struct MachineConfig
     BusConfig bus{};
     HtmConfig htm{};
     Addr memBytes = 64ull * 1024 * 1024;
-    /** Host representation of the memory image (semantics-neutral). */
-    StoreMode store = defaultStoreMode();
 };
 
 /**

@@ -5,9 +5,8 @@
 namespace tmsim {
 
 MemSystem::MemSystem(EventQueue& eq_, const BusConfig& bus_cfg,
-                     Addr mem_bytes, StatsRegistry& stats,
-                     StoreMode store_mode)
-    : eq(eq_), statsReg(stats), store(mem_bytes, store_mode),
+                     Addr mem_bytes, StatsRegistry& stats)
+    : eq(eq_), statsReg(stats), store(mem_bytes),
       sysBus(eq_, bus_cfg, stats), det(eq_, stats), serialize(eq_)
 {
 }

@@ -28,8 +28,7 @@ class MemSystem
 {
   public:
     MemSystem(EventQueue& eq, const BusConfig& bus_cfg, Addr mem_bytes,
-              StatsRegistry& stats,
-              StoreMode store_mode = defaultStoreMode());
+              StatsRegistry& stats);
 
     StatsRegistry& statsRegistry() { return statsReg; }
 

@@ -7,8 +7,8 @@
  *    active reader, plus a line-lock table that pins a validated
  *    transaction's write-set until xcommit so late accessors stall
  *    instead of reading soon-to-be-overwritten data.
- *  - Eager (UTM/LogTM): access-time checks with requester-wins or
- *    older-wins resolution.
+ *  - Eager (UTM/LogTM): access-time checks, resolved by the
+ *    contention manager (requester-wins, timestamp order, ...).
  *
  * Also provides strong atomicity for non-transactional stores.
  *
@@ -129,7 +129,8 @@ class ConflictDetector : public SharerIndexListener
     /**
      * Access-time conflict check for @p requester touching @p line.
      * Violates losing contexts; returns SelfViolate when the requester
-     * must abort instead (validated opponent, or older-wins policy).
+     * must abort instead (validated opponent, or the contention
+     * manager ruled against it).
      * When @p conflict_peer is non-null it receives the CPU id of the
      * opponent that decided a SelfViolate verdict (untouched
      * otherwise), so the caller can attribute the self-violation.

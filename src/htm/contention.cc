@@ -10,7 +10,7 @@ const ContentionManager::Rec ContentionManager::emptyRec{};
 
 ContentionManager::ContentionManager(const HtmConfig& cfg,
                                      StatsRegistry& stats)
-    : pol(cfg.effectiveContention()),
+    : pol(cfg.contention),
       starveK(std::max(cfg.starvationThreshold, 1)),
       distConsecAborts(stats.distribution("htm.consec_aborts")),
       distConsecAtCommit(stats.distribution("htm.consec_aborts_at_commit")),
@@ -315,7 +315,7 @@ class HybridManager : public ContentionManager
 std::unique_ptr<ContentionManager>
 makeContentionManager(const HtmConfig& cfg, StatsRegistry& stats)
 {
-    switch (cfg.effectiveContention()) {
+    switch (cfg.contention) {
     case ContentionPolicy::Timestamp:
         return std::make_unique<TimestampManager>(cfg, stats);
     case ContentionPolicy::Karma:

@@ -184,7 +184,7 @@ class ContentionManager
     StatsRegistry::Counter& statEscalations;
 };
 
-/** Build the manager for @p cfg's effectiveContention() policy. */
+/** Build the manager for @p cfg's contention policy. */
 std::unique_ptr<ContentionManager>
 makeContentionManager(const HtmConfig& cfg, StatsRegistry& stats);
 

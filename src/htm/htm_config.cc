@@ -74,7 +74,6 @@ HtmConfig::eagerUndoLog()
     HtmConfig cfg;
     cfg.version = VersionMode::UndoLog;
     cfg.conflict = ConflictMode::Eager;
-    cfg.policy = ConflictPolicy::RequesterWins;
     cfg.nesting = NestingMode::Full;
     cfg.scheme = NestScheme::MultiTracking;
     cfg.maxHwLevels = 4;
@@ -95,10 +94,6 @@ HtmConfig::describe() const
     std::string s;
     s += version == VersionMode::WriteBuffer ? "write-buffer" : "undo-log";
     s += conflict == ConflictMode::Lazy ? "/lazy" : "/eager";
-    if (conflict == ConflictMode::Eager) {
-        s += policy == ConflictPolicy::RequesterWins ? "(requester-wins)"
-                                                     : "(older-wins)";
-    }
     s += nesting == NestingMode::Full ? "/nested" : "/flattened";
     s += scheme == NestScheme::Associativity ? "/assoc" : "/multitrack";
     if (contention != ContentionPolicy::Requester) {

@@ -32,15 +32,6 @@ enum class ConflictMode
     Eager,
 };
 
-/** Who loses an eagerly-detected conflict. */
-enum class ConflictPolicy
-{
-    /** The transaction already holding the data is violated. */
-    RequesterWins,
-    /** The younger transaction is violated (timestamp order). */
-    OlderWins,
-};
-
 /**
  * Contention-management policy consulted at every arbitration and
  * restart-scheduling decision (see src/htm/contention.hh). The paper
@@ -50,9 +41,8 @@ enum class ConflictPolicy
  */
 enum class ContentionPolicy
 {
-    /** Legacy pass-through: arbitration follows ConflictPolicy
-     *  (requester-wins, or timestamp order under OlderWins) and the
-     *  backoff curve is the fixed exponential one. */
+    /** The requester wins: the transaction already holding the data
+     *  is violated. The backoff curve is the fixed exponential one. */
     Requester,
     /** Earlier first-begin tick wins; ties broken by CPU id. The
      *  first-begin tick is retained across restarts of the same
@@ -130,7 +120,6 @@ struct HtmConfig
 {
     VersionMode version = VersionMode::WriteBuffer;
     ConflictMode conflict = ConflictMode::Lazy;
-    ConflictPolicy policy = ConflictPolicy::RequesterWins;
     NestingMode nesting = NestingMode::Full;
     NestScheme scheme = NestScheme::Associativity;
     TrackGranularity granularity = TrackGranularity::Line;
@@ -141,22 +130,6 @@ struct HtmConfig
     /** Hybrid's starvation guard: consecutive aborts beyond this
      *  threshold escalate the transaction to must-win seniority. */
     int starvationThreshold = 8;
-
-    /**
-     * The policy the contention manager actually runs: an explicit
-     * ContentionPolicy wins; the legacy ConflictPolicy::OlderWins knob
-     * maps onto Timestamp so existing configurations keep their
-     * age-ordered arbitration (now with deterministic tiebreaks).
-     */
-    ContentionPolicy
-    effectiveContention() const
-    {
-        if (contention != ContentionPolicy::Requester)
-            return contention;
-        return policy == ConflictPolicy::OlderWins
-                   ? ContentionPolicy::Timestamp
-                   : ContentionPolicy::Requester;
-    }
 
     /** Hardware-supported nesting depth; deeper levels are handled by
      *  the overflow/virtualisation path with a cycle penalty. */

@@ -1,7 +1,6 @@
 #include "htm/htm_context.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "htm/contention.hh"
 #include "sim/logging.hh"
@@ -155,7 +154,6 @@ HtmContext::specWrite(Addr addr, Word value)
     }
     Addr unit = trackUnit(addr);
     if (top().writeLines.insert(unit)) {
-        top().wlShadowValid = false;
         noteWriteInsert(unit);
         if (cfg.wsetCap > 0)
             enforceCapacity(true, unit);
@@ -397,35 +395,9 @@ HtmContext::setTopValidated()
 }
 
 const std::vector<Addr>&
-HtmContext::writeLinesOrdered(const TxLevel& t) const
-{
-    if (!t.wlShadowValid) {
-        t.wlShadow.clear();
-        if (t.writeLines.size() <= 1) {
-            t.wlShadow.assign(t.writeLines.begin(), t.writeLines.end());
-        } else {
-            // Replay the unique lines, in first-insert order, through
-            // a fresh unordered_set: on a given libstdc++ this yields
-            // the exact iteration order the historical unordered_set
-            // write set had (range inserts and duplicate inserts do
-            // not perturb the final order). Broadcast order — and with
-            // it tick-level timing — stays bit-identical to the
-            // pre-flat-set implementation.
-            std::unordered_set<Addr> shadow;
-            for (Addr a : t.writeLines)
-                shadow.insert(a);
-            t.wlShadow.assign(shadow.begin(), shadow.end());
-        }
-        t.wlShadowValid = true;
-    }
-    return t.wlShadow;
-}
-
-const std::vector<Addr>&
 HtmContext::topWriteLines() const
 {
-    const std::vector<Addr>& ordered = writeLinesOrdered(top());
-    scratchLines.assign(ordered.begin(), ordered.end());
+    scratchLines.assign(top().writeLines.begin(), top().writeLines.end());
     return scratchLines;
 }
 
@@ -471,13 +443,8 @@ HtmContext::commitClosedTop()
 
     for (Addr a : child.readLines)
         parent.readLines.insert(a);
-    // Merge the child's write set in its historical iteration order so
-    // the parent's first-insert record — and with it the parent's own
-    // broadcast order — matches what range-inserting the child's
-    // unordered_set produced (see writeLinesOrdered).
-    for (Addr a : writeLinesOrdered(child))
+    for (Addr a : child.writeLines)
         parent.writeLines.insert(a);
-    parent.wlShadowValid = false;
     mergeChildAggregates(child, childLevelNum);
     // The popped child level's Validated bit (if any) no longer exists.
     validatedMask &= ~(1u << (childLevelNum - 1));

@@ -165,9 +165,9 @@ class HtmContext
 
     void setTopValidated();
 
-    /** Lines in the top level's write-set (broadcast / locking). The
-     *  returned reference is a per-context scratch buffer, valid until
-     *  the next call on this context. */
+    /** Lines in the top level's write-set (broadcast / locking), in
+     *  first-insert order. The returned reference is a per-context
+     *  scratch buffer, valid until the next call on this context. */
     const std::vector<Addr>& topWriteLines() const;
 
     /** Words written by the top level, with their current values. Same
@@ -362,11 +362,6 @@ class HtmContext
         const std::uint32_t* m = aggWriters.find(unit);
         return m ? *m : 0;
     }
-
-    /** The top (or any) level's write set in the exact order the
-     *  historical std::unordered_set write set iterated; cached per
-     *  level and rebuilt from insertion order on demand. */
-    const std::vector<Addr>& writeLinesOrdered(const TxLevel& t) const;
 
     void notifySharer(Addr unit);
     void noteReadInsert(Addr unit);

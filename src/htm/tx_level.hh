@@ -7,8 +7,6 @@
 #ifndef TMSIM_HTM_TX_LEVEL_HH
 #define TMSIM_HTM_TX_LEVEL_HH
 
-#include <vector>
-
 #include "htm/small_set.hh"
 #include "sim/types.hh"
 
@@ -45,9 +43,8 @@ struct TxLevel
     Tick beginTick = 0;
 
     /** Line-granularity read and write sets. The read set may drop
-     *  lines (release); the write set only ever grows, keeping its
-     *  insertion order equal to first-insert order — which is what
-     *  the broadcast-order reconstruction below depends on. */
+     *  lines (release); the write set only ever grows, so it iterates
+     *  in first-insert order, which is the commit broadcast order. */
     FlatAddrSet<8> readLines;
     FlatAddrSet<8> writeLines;
 
@@ -57,17 +54,6 @@ struct TxLevel
     /** Word addresses written at this level (VersionMode::UndoLog;
      *  used for open-nested ancestor patching and broadcasts). */
     FlatAddrSet<8> writtenWords;
-
-    /**
-     * Cached write-set broadcast order. Historically the write set
-     * was a std::unordered_set and its iteration order — a function
-     * of the first-insert order of its unique elements — leaked into
-     * observable timing via the commit broadcast. HtmContext rebuilds
-     * that exact order from writeLines' insertion order on demand
-     * (see writeLinesOrdered); valid is cleared on every insert.
-     */
-    mutable std::vector<Addr> wlShadow;
-    mutable bool wlShadowValid = false;
 
     /** First undo-log index belonging to this level. */
     size_t undoBase = 0;
@@ -106,8 +92,6 @@ struct TxLevel
         writeLines.clear();
         writeBuffer.clear();
         writtenWords.clear();
-        wlShadow.clear();
-        wlShadowValid = false;
     }
 };
 

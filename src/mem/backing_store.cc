@@ -9,49 +9,6 @@
 
 namespace tmsim {
 
-namespace {
-
-StoreMode&
-defaultStoreModeRef()
-{
-    static StoreMode mode = StoreMode::Sparse;
-    return mode;
-}
-
-} // namespace
-
-StoreMode
-defaultStoreMode()
-{
-    return defaultStoreModeRef();
-}
-
-void
-setDefaultStoreMode(StoreMode m)
-{
-    defaultStoreModeRef() = m;
-}
-
-const char*
-storeModeName(StoreMode m)
-{
-    return m == StoreMode::Dense ? "dense" : "sparse";
-}
-
-bool
-storeModeFromName(const std::string& name, StoreMode& out)
-{
-    if (name == "dense") {
-        out = StoreMode::Dense;
-        return true;
-    }
-    if (name == "sparse") {
-        out = StoreMode::Sparse;
-        return true;
-    }
-    return false;
-}
-
 Addr
 watchAddrFromEnv(const char* env)
 {
@@ -72,29 +29,15 @@ watchAddrFromEnv(const char* env)
     return static_cast<Addr>(v);
 }
 
-BackingStore::BackingStore(Addr size_bytes, StoreMode mode, Addr chunk_bytes)
-    : storeMode(mode),
-      bytes(size_bytes),
+BackingStore::BackingStore(Addr size_bytes)
+    : bytes(size_bytes),
       // Keep address 0 unmapped-ish: start allocations at one line so a
       // zero Addr can serve as a null pointer in workloads.
       brkPtr(64),
-      watchAddrVal(watchAddrFromEnv(getenv("TMSIM_WATCH_ADDR"))),
-      chunkSize(chunk_bytes)
+      watchAddrVal(watchAddrFromEnv(getenv("TMSIM_WATCH_ADDR")))
 {
     if (size_bytes == 0)
         fatal("BackingStore size must be nonzero");
-    if (storeMode == StoreMode::Dense) {
-        words.assign((size_bytes + wordBytes - 1) / wordBytes, 0);
-        return;
-    }
-    if (chunkSize < wordBytes || (chunkSize & (chunkSize - 1)) != 0)
-        fatal("BackingStore chunk size must be a power of two >= %llu "
-              "(got %llu)",
-              static_cast<unsigned long long>(wordBytes),
-              static_cast<unsigned long long>(chunkSize));
-    const Addr chunkWords = chunkSize / wordBytes;
-    while ((static_cast<Addr>(1) << chunkWordsShift) < chunkWords)
-        ++chunkWordsShift;
 }
 
 void
@@ -113,19 +56,17 @@ BackingStore::checkAddr(Addr addr) const
 Word*
 BackingStore::chunkFor(Addr word_index, bool create) const
 {
-    const Addr chunk = word_index >> chunkWordsShift;
-    const Addr offset = word_index & ((static_cast<Addr>(1)
-                                       << chunkWordsShift) - 1);
+    const Addr chunk = word_index / chunkWords;
+    const Addr offset = word_index % chunkWords;
     if (chunk == cachedChunk)
         return cachedPtr + offset;
     auto it = chunks.find(chunk);
     if (it == chunks.end()) {
         if (!create)
             return nullptr;
-        // make_unique<Word[]> value-initializes: fresh chunks read 0,
-        // matching dense semantics exactly.
-        it = chunks.emplace(chunk, std::make_unique<Word[]>(
-                static_cast<Addr>(1) << chunkWordsShift)).first;
+        // make_unique<Word[]> value-initializes: fresh chunks read 0.
+        it = chunks.emplace(chunk,
+                            std::make_unique<Word[]>(chunkWords)).first;
     }
     cachedChunk = chunk;
     cachedPtr = it->second.get();
@@ -136,10 +77,7 @@ Word
 BackingStore::read(Addr addr) const
 {
     checkAddr(addr);
-    const Addr idx = addr / wordBytes;
-    if (storeMode == StoreMode::Dense)
-        return words[idx];
-    const Word* w = chunkFor(idx, /*create=*/false);
+    const Word* w = chunkFor(addr / wordBytes, /*create=*/false);
     return w ? *w : 0;
 }
 
@@ -147,10 +85,7 @@ void
 BackingStore::write(Addr addr, Word value)
 {
     checkAddr(addr);
-    const Addr idx = addr / wordBytes;
-    Word* slot = storeMode == StoreMode::Dense
-        ? &words[idx]
-        : chunkFor(idx, /*create=*/true);
+    Word* slot = chunkFor(addr / wordBytes, /*create=*/true);
     // Debug watchpoint: set TMSIM_WATCH_ADDR=<addr> to trace every
     // architectural write to one simulated word (committed stores,
     // in-place speculative stores, and undo restores).
@@ -186,22 +121,6 @@ BackingStore::allocate(Addr n_bytes, Addr align)
               static_cast<unsigned long long>(n_bytes));
     brkPtr = base + n_bytes;
     return base;
-}
-
-std::size_t
-BackingStore::touchedChunks() const
-{
-    if (storeMode == StoreMode::Sparse)
-        return chunks.size();
-    return static_cast<std::size_t>((bytes + chunkSize - 1) / chunkSize);
-}
-
-Addr
-BackingStore::hostWordsAllocated() const
-{
-    if (storeMode == StoreMode::Sparse)
-        return static_cast<Addr>(chunks.size()) << chunkWordsShift;
-    return static_cast<Addr>(words.size());
 }
 
 } // namespace tmsim

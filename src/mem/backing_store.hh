@@ -3,49 +3,26 @@
  * Word-addressable simulated physical memory with a bump allocator for
  * workload setup.
  *
- * Two host representations, identical simulated semantics (every
- * untouched word reads as zero in both):
- *
- *  - Dense: one flat std::vector<Word> sized to the whole address
- *    space. Host footprint is O(address-space); cheapest per access.
- *  - Sparse: a page table of fixed-size chunks allocated on first
- *    *written* touch, so host footprint is O(touched chunks). This is
- *    what lets a production-scale workload declare a multi-GiB
- *    simulated address space (sharded warehouse pools, huge key
- *    ranges) and only pay for the lines it actually dirties.
+ * The image is a page table of fixed-size chunks allocated on first
+ * *written* touch, so host footprint is O(touched chunks). This is
+ * what lets a production-scale workload declare a multi-GiB simulated
+ * address space (sharded warehouse pools, huge key ranges) and only
+ * pay for the lines it actually dirties. Every untouched word reads
+ * as zero.
  *
  * Reads never materialise a chunk; only writes do. A one-entry chunk
- * cache keeps the sparse fast path at "shift, compare, index".
+ * cache keeps the fast path at "shift, compare, index".
  */
 
 #ifndef TMSIM_MEM_BACKING_STORE_HH
 #define TMSIM_MEM_BACKING_STORE_HH
 
 #include <memory>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/types.hh"
 
 namespace tmsim {
-
-/** Host representation of the simulated memory image. */
-enum class StoreMode
-{
-    Dense,
-    Sparse,
-};
-
-/** Process-wide default representation (Sparse unless overridden).
- *  Tools set this from --store before constructing machines; it never
- *  affects simulated semantics, only host memory/speed. */
-StoreMode defaultStoreMode();
-void setDefaultStoreMode(StoreMode m);
-
-/** Name <-> mode helpers for CLI surfaces. */
-const char* storeModeName(StoreMode m);
-bool storeModeFromName(const std::string& name, StoreMode& out);
 
 /**
  * Parse a TMSIM_WATCH_ADDR-style watchpoint value. Returns invalidAddr
@@ -63,13 +40,11 @@ Addr watchAddrFromEnv(const char* env);
 class BackingStore
 {
   public:
-    /** Sparse chunk size: 64 KiB (8192 words), a power of two. */
-    static constexpr Addr defaultChunkBytes = 64 * 1024;
+    /** Chunk size: 64 KiB (8192 words), a power of two. */
+    static constexpr Addr chunkBytes = 64 * 1024;
 
     /** @param size_bytes total simulated physical memory. */
-    explicit BackingStore(Addr size_bytes,
-                          StoreMode mode = defaultStoreMode(),
-                          Addr chunk_bytes = defaultChunkBytes);
+    explicit BackingStore(Addr size_bytes);
 
     /** Read the aligned 64-bit word at @p addr. */
     Word read(Addr addr) const;
@@ -84,24 +59,23 @@ class BackingStore
      * Host-side allocation of simulated memory for workload setup and
      * for the runtime's thread-private regions (TCB stacks, handler
      * stacks, undo logs). Alignment defaults to a cache line.
-     * Reserving address space is free in sparse mode; chunks only
-     * materialise when written.
+     * Reserving address space is free; chunks only materialise when
+     * written.
      */
     Addr allocate(Addr n_bytes, Addr align = 64);
 
     /** Current allocation high-water mark. */
     Addr brk() const { return brkPtr; }
 
-    StoreMode mode() const { return storeMode; }
-    Addr chunkBytes() const { return chunkSize; }
+    /** Chunks holding at least one written word. */
+    std::size_t touchedChunks() const { return chunks.size(); }
 
-    /** Chunks holding at least one written word (sparse); in dense
-     *  mode every chunk of the address space counts as touched. */
-    std::size_t touchedChunks() const;
-
-    /** Host words actually allocated for the image — the footprint
-     *  the sparse mode exists to bound. */
-    Addr hostWordsAllocated() const;
+    /** Host words actually allocated for the image. */
+    Addr
+    hostWordsAllocated() const
+    {
+        return static_cast<Addr>(chunks.size()) * chunkWords;
+    }
 
     // --- debug watchpoint (TMSIM_WATCH_ADDR) ---
 
@@ -115,20 +89,18 @@ class BackingStore
     void checkAddr(Addr addr) const;
     Word* chunkFor(Addr word_index, bool create) const;
 
-    StoreMode storeMode;
+    static constexpr Addr chunkWords = chunkBytes / wordBytes;
+    static_assert((chunkWords & (chunkWords - 1)) == 0,
+                  "chunk size must be a power of two");
+
     Addr bytes;
     Addr brkPtr;
     Addr watchAddrVal;
 
-    // Dense image.
-    std::vector<Word> words;
-
-    // Sparse image: chunk index -> chunk storage (all-zero on first
-    // touch), plus a one-entry cache of the last chunk hit. The map
-    // and cache are mutated on write only; read() of an untouched
-    // chunk returns 0 without materialising it.
-    Addr chunkSize;
-    Addr chunkWordsShift = 0; ///< log2(words per chunk)
+    // Chunk index -> chunk storage (all-zero on first touch), plus a
+    // one-entry cache of the last chunk hit. The map and cache are
+    // mutated on write only; read() of an untouched chunk returns 0
+    // without materialising it.
     mutable std::unordered_map<Addr, std::unique_ptr<Word[]>> chunks;
     mutable Addr cachedChunk = ~static_cast<Addr>(0);
     mutable Word* cachedPtr = nullptr;

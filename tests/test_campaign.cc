@@ -101,6 +101,9 @@ TEST(Campaign, WorkerFatalCancelsPoolAndSurfacesMessage)
                 started.fetch_add(1);
                 if (i == 5)
                     fatal("boom at job 5");
+                // Real work per job: trivial jobs let four workers
+                // claim all 64 before job 5's fatal() cancels the pool.
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
                 return static_cast<int>(i);
             },
             [&](std::size_t i, int&&) {

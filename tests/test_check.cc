@@ -42,7 +42,7 @@ TEST(FuzzProgram, SerializeParseRoundTrip)
     EXPECT_EQ(p.serialize(), q.serialize());
     EXPECT_EQ(p.seed, q.seed);
     EXPECT_EQ(p.wordGranularity, q.wordGranularity);
-    EXPECT_EQ(p.olderWins, q.olderWins);
+    EXPECT_EQ(p.contention, q.contention);
     EXPECT_EQ(p.txs.size(), q.txs.size());
     EXPECT_EQ(p.threads.size(), q.threads.size());
 }
@@ -92,6 +92,20 @@ TEST(FuzzProgram, ParseRejectsMangledCapacityLines)
         EXPECT_FALSE(FuzzProgram::parse(buf.str(), q, &err));
         EXPECT_NE(err.find("capacity"), std::string::npos) << err;
     }
+}
+
+TEST(FuzzProgram, ParseRejectsRemovedOlderWinsLine)
+{
+    // Older-wins arbitration is spelled `contention timestamp`; a
+    // replay still carrying the removed line must say so.
+    std::string text = generateProgram(3).serialize();
+    const std::string gran = "word-granularity ";
+    const size_t at = text.find('\n', text.find(gran)) + 1;
+    text.insert(at, "older-wins 1\n");
+    FuzzProgram q;
+    std::string err;
+    EXPECT_FALSE(FuzzProgram::parse(text, q, &err));
+    EXPECT_NE(err.find("contention timestamp"), std::string::npos) << err;
 }
 
 TEST(FuzzProgram, ParseAcceptsCapacityLineRoundTrip)

@@ -192,7 +192,7 @@ TEST(ConflictIndex, RandomOpsLazyWordGranularity)
 TEST(ConflictIndex, RandomOpsEagerOlderWins)
 {
     HtmConfig cfg = HtmConfig::eagerUndoLog();
-    cfg.policy = ConflictPolicy::OlderWins;
+    cfg.contention = ContentionPolicy::Timestamp;
     runRandomOps(cfg, 0xC0FFEE04ull);
 }
 

@@ -301,20 +301,21 @@ TEST(ContentionHybrid, EscalatedTransactionRetriesAlmostImmediately)
                   Cycles{4});
 }
 
-// --- legacy mapping -------------------------------------------------------
+// --- policy names ---------------------------------------------------------
 
-TEST(ContentionConfig, LegacyOlderWinsMapsToTimestamp)
+TEST(ContentionConfig, PolicyNamesRoundTrip)
 {
-    HtmConfig cfg;
-    cfg.policy = ConflictPolicy::OlderWins;
-    EXPECT_EQ(cfg.effectiveContention(), ContentionPolicy::Timestamp);
-    cfg.contention = ContentionPolicy::Polite; // explicit knob wins
-    EXPECT_EQ(cfg.effectiveContention(), ContentionPolicy::Polite);
-
+    for (ContentionPolicy p :
+         {ContentionPolicy::Requester, ContentionPolicy::Timestamp,
+          ContentionPolicy::Karma, ContentionPolicy::Polite,
+          ContentionPolicy::Hybrid}) {
+        ContentionPolicy q;
+        EXPECT_TRUE(contentionPolicyFromName(contentionPolicyName(p), q));
+        EXPECT_EQ(q, p);
+    }
     ContentionPolicy pol;
-    EXPECT_TRUE(contentionPolicyFromName("hybrid", pol));
-    EXPECT_EQ(pol, ContentionPolicy::Hybrid);
     EXPECT_FALSE(contentionPolicyFromName("nonsense", pol));
+    EXPECT_FALSE(contentionPolicyFromName("older", pol));
 }
 
 // --- machine-level regression: same-tick lockstep writers ----------------
@@ -322,13 +323,13 @@ TEST(ContentionConfig, LegacyOlderWinsMapsToTimestamp)
 TEST(ContentionMachine, SameTickLockstepWritersMakeProgress)
 {
     // Two eager transactions incrementing the same word in lockstep,
-    // retrying immediately with no backoff. Under the legacy OlderWins
-    // ("<=" ages) arbitration, equal-age attempts each judged the other
-    // senior, both self-violated, and the pair livelocked forever; the
-    // strict seniority order breaks the tie by CPU id.
+    // retrying immediately with no backoff. Under the original
+    // older-wins ("<=" ages) arbitration, equal-age attempts each judged
+    // the other senior, both self-violated, and the pair livelocked
+    // forever; the strict seniority order breaks the tie by CPU id.
     HtmConfig htm = HtmConfig::paperLazy();
     htm.conflict = ConflictMode::Eager;
-    htm.policy = ConflictPolicy::OlderWins;
+    htm.contention = ContentionPolicy::Timestamp;
     Machine m(config(htm));
     Addr a = m.memory().allocate(64);
     m.memory().write(a, 0);

@@ -224,7 +224,7 @@ TEST(HtmConflict, EagerOlderInPlaceWriterKeepsOwnership)
     // Older-wins: an older in-place writer is never evicted; the
     // younger requester backs off until the writer commits.
     HtmConfig htm = HtmConfig::eagerUndoLog();
-    htm.policy = ConflictPolicy::OlderWins;
+    htm.contention = ContentionPolicy::Timestamp;
     Machine m(config(htm));
     Addr a = m.memory().allocate(64);
     m.memory().write(a, 7);
@@ -288,7 +288,7 @@ TEST(HtmConflict, NonTxLoadSeesCommittedValueUnderUndoLog)
 TEST(HtmConflict, EagerOlderWinsAbortsYoungerRequester)
 {
     HtmConfig htm = HtmConfig::eagerUndoLog();
-    htm.policy = ConflictPolicy::OlderWins;
+    htm.contention = ContentionPolicy::Timestamp;
     Machine m(config(htm));
     Addr a = m.memory().allocate(64);
     int requesterRollbacks = 0;

@@ -25,7 +25,7 @@ struct PropCase
     const char* tag;
     VersionMode version;
     ConflictMode conflict;
-    ConflictPolicy policy;
+    ContentionPolicy contention;
     NestingMode nesting;
     NestScheme scheme;
     int threads;
@@ -37,7 +37,7 @@ toConfig(const PropCase& c)
     HtmConfig htm;
     htm.version = c.version;
     htm.conflict = c.conflict;
-    htm.policy = c.policy;
+    htm.contention = c.contention;
     htm.nesting = c.nesting;
     htm.scheme = c.scheme;
     return htm;
@@ -246,28 +246,28 @@ INSTANTIATE_TEST_SUITE_P(
     ConfigSweep, PropertyTest,
     ::testing::Values(
         PropCase{"lazy_wb_assoc_4t", VersionMode::WriteBuffer,
-                 ConflictMode::Lazy, ConflictPolicy::RequesterWins,
+                 ConflictMode::Lazy, ContentionPolicy::Requester,
                  NestingMode::Full, NestScheme::Associativity, 4},
         PropCase{"lazy_wb_mtrack_4t", VersionMode::WriteBuffer,
-                 ConflictMode::Lazy, ConflictPolicy::RequesterWins,
+                 ConflictMode::Lazy, ContentionPolicy::Requester,
                  NestingMode::Full, NestScheme::MultiTracking, 4},
         PropCase{"lazy_flatten_4t", VersionMode::WriteBuffer,
-                 ConflictMode::Lazy, ConflictPolicy::RequesterWins,
+                 ConflictMode::Lazy, ContentionPolicy::Requester,
                  NestingMode::Flatten, NestScheme::Associativity, 4},
         PropCase{"eager_req_4t", VersionMode::UndoLog, ConflictMode::Eager,
-                 ConflictPolicy::RequesterWins, NestingMode::Full,
+                 ContentionPolicy::Requester, NestingMode::Full,
                  NestScheme::MultiTracking, 4},
-        PropCase{"eager_older_4t", VersionMode::UndoLog,
-                 ConflictMode::Eager, ConflictPolicy::OlderWins,
+        PropCase{"eager_timestamp_4t", VersionMode::UndoLog,
+                 ConflictMode::Eager, ContentionPolicy::Timestamp,
                  NestingMode::Full, NestScheme::MultiTracking, 4},
         PropCase{"eager_wb_4t", VersionMode::WriteBuffer,
-                 ConflictMode::Eager, ConflictPolicy::RequesterWins,
+                 ConflictMode::Eager, ContentionPolicy::Requester,
                  NestingMode::Full, NestScheme::Associativity, 4},
         PropCase{"lazy_wb_assoc_8t", VersionMode::WriteBuffer,
-                 ConflictMode::Lazy, ConflictPolicy::RequesterWins,
+                 ConflictMode::Lazy, ContentionPolicy::Requester,
                  NestingMode::Full, NestScheme::Associativity, 8},
         PropCase{"eager_flatten_8t", VersionMode::UndoLog,
-                 ConflictMode::Eager, ConflictPolicy::RequesterWins,
+                 ConflictMode::Eager, ContentionPolicy::Requester,
                  NestingMode::Flatten, NestScheme::MultiTracking, 8}),
     [](const ::testing::TestParamInfo<PropCase>& info) {
         return std::string(info.param.tag);

@@ -68,9 +68,6 @@ usage()
         "to N lines\n"
         "  --capacity-mode M  abort|overflow: how over-cap accesses "
         "are handled\n"
-        "  --store dense|sparse  backing-store host representation "
-        "(default\n"
-        "                     sparse; results are identical)\n"
         "                     (default abort); like --contention, "
         "caps also\n"
         "                     override replays and survive shrinking\n"
@@ -236,12 +233,6 @@ main(int argc, char** argv)
             const std::string name = next();
             if (!capacityModeFromName(name, capMode))
                 fatal("unknown capacity mode '%s'", name.c_str());
-        } else if (arg == "--store") {
-            const std::string name = next();
-            StoreMode mode;
-            if (!storeModeFromName(name, mode))
-                fatal("unknown store mode '%s'", name.c_str());
-            setDefaultStoreMode(mode);
         } else if (arg == "--selftest-inject") {
             selftest = true;
         } else if (arg == "--progress") {

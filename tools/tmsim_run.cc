@@ -6,7 +6,7 @@
  *   tmsim_run --kernel mp3d --cpus 8
  *   tmsim_run --kernel specjbb-open --cpus 8 --nesting flatten
  *   tmsim_run --kernel water --conflict eager --version undolog \
- *             --policy older --stats
+ *             --contention timestamp --stats
  *   tmsim_run --list
  */
 
@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/parse.hh"
@@ -36,7 +38,6 @@ usage()
         "  --cpus N             CPUs / threads (default 8)\n"
         "  --version wb|undolog speculative versioning\n"
         "  --conflict lazy|eager\n"
-        "  --policy requester|older   (eager resolution)\n"
         "  --contention P       contention manager: requester|timestamp|\n"
         "                       karma|polite|hybrid\n"
         "  --starvation-k N     hybrid: escalate after N consecutive\n"
@@ -49,8 +50,6 @@ usage()
         "  --wset-cap N         bound per-level write-sets to N lines\n"
         "  --capacity-mode M    abort|overflow: over-cap handling\n"
         "  --no-backoff         disable retry backoff\n"
-        "  --store dense|sparse backing-store host representation\n"
-        "                       (default sparse; semantics-identical)\n"
         "  --jbb-ops N          specjbb-*: total operations\n"
         "  --jbb-customers N    specjbb-*: total customer keys\n"
         "  --jbb-stock N        specjbb-*: total stock keys\n"
@@ -68,6 +67,23 @@ usage()
         "  --quiet              suppress simulator log output (default:\n"
         "                       warnings and above are shown)\n"
         "  --list               list kernels\n");
+}
+
+/** The value @p choices pairs with @p val; fatal, naming every
+ *  accepted spelling, for anything else. */
+template <typename E>
+E
+parseChoice(const std::string& val, const char* flag,
+            std::initializer_list<std::pair<const char*, E>> choices)
+{
+    std::string names;
+    for (const auto& [name, e] : choices) {
+        if (val == name)
+            return e;
+        names += names.empty() ? name : std::string("|") + name;
+    }
+    fatal("%s: unknown value '%s' (expected %s)", flag, val.c_str(),
+          names.c_str());
 }
 
 } // namespace
@@ -96,17 +112,20 @@ main(int argc, char** argv)
         } else if (arg == "--cpus") {
             cpus = parseInt(next(), "--cpus", 1, 128);
         } else if (arg == "--version") {
-            std::string v = next();
-            htm.version = v == "undolog" ? VersionMode::UndoLog
-                                         : VersionMode::WriteBuffer;
+            htm.version = parseChoice<VersionMode>(
+                next(), "--version",
+                {{"wb", VersionMode::WriteBuffer},
+                 {"undolog", VersionMode::UndoLog}});
             if (htm.version == VersionMode::UndoLog)
                 htm.conflict = ConflictMode::Eager;
         } else if (arg == "--conflict") {
-            htm.conflict = next() == "eager" ? ConflictMode::Eager
-                                             : ConflictMode::Lazy;
+            htm.conflict = parseChoice<ConflictMode>(
+                next(), "--conflict",
+                {{"lazy", ConflictMode::Lazy},
+                 {"eager", ConflictMode::Eager}});
         } else if (arg == "--policy") {
-            htm.policy = next() == "older" ? ConflictPolicy::OlderWins
-                                           : ConflictPolicy::RequesterWins;
+            fatal("--policy was removed; use --contention "
+                  "requester|timestamp");
         } else if (arg == "--contention") {
             const std::string name = next();
             if (!contentionPolicyFromName(name, htm.contention))
@@ -114,15 +133,20 @@ main(int argc, char** argv)
         } else if (arg == "--starvation-k") {
             htm.starvationThreshold = parseInt(next(), "--starvation-k", 1);
         } else if (arg == "--nesting") {
-            htm.nesting = next() == "flatten" ? NestingMode::Flatten
-                                              : NestingMode::Full;
+            htm.nesting = parseChoice<NestingMode>(
+                next(), "--nesting",
+                {{"full", NestingMode::Full},
+                 {"flatten", NestingMode::Flatten}});
         } else if (arg == "--scheme") {
-            htm.scheme = next() == "multitrack"
-                             ? NestScheme::MultiTracking
-                             : NestScheme::Associativity;
+            htm.scheme = parseChoice<NestScheme>(
+                next(), "--scheme",
+                {{"assoc", NestScheme::Associativity},
+                 {"multitrack", NestScheme::MultiTracking}});
         } else if (arg == "--granularity") {
-            htm.granularity = next() == "word" ? TrackGranularity::Word
-                                               : TrackGranularity::Line;
+            htm.granularity = parseChoice<TrackGranularity>(
+                next(), "--granularity",
+                {{"line", TrackGranularity::Line},
+                 {"word", TrackGranularity::Word}});
         } else if (arg == "--rset-cap") {
             htm.rsetCap = parseInt(next(), "--rset-cap", 0, 100000);
         } else if (arg == "--wset-cap") {
@@ -133,12 +157,6 @@ main(int argc, char** argv)
                 fatal("unknown capacity mode '%s'", name.c_str());
         } else if (arg == "--no-backoff") {
             htm.retryBackoff = false;
-        } else if (arg == "--store") {
-            const std::string name = next();
-            StoreMode mode;
-            if (!storeModeFromName(name, mode))
-                fatal("unknown store mode '%s'", name.c_str());
-            setDefaultStoreMode(mode);
         } else if (arg == "--jbb-ops") {
             kp.jbbOps = parseInt(next(), "--jbb-ops", 1);
         } else if (arg == "--jbb-customers") {

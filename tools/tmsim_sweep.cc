@@ -120,7 +120,6 @@ usage()
         "  --json-stats FILE  write the merged sweep document "
         "(default stdout)\n"
         "  --fuzz-seed N      seed for the 'fuzz' kernel (default 1)\n"
-        "  --store dense|sparse  backing-store host representation\n"
         "  --jbb-ops N        specjbb-*: total operations\n"
         "  --jbb-customers N  specjbb-*: total customer keys\n"
         "  --jbb-stock N      specjbb-*: total stock keys\n"
@@ -170,12 +169,6 @@ main(int argc, char** argv)
             jsonStatsFile = next();
         } else if (arg == "--fuzz-seed") {
             kp.fuzzSeed = parseU64(next(), "--fuzz-seed");
-        } else if (arg == "--store") {
-            const std::string name = next();
-            StoreMode mode;
-            if (!storeModeFromName(name, mode))
-                fatal("unknown store mode '%s'", name.c_str());
-            setDefaultStoreMode(mode);
         } else if (arg == "--jbb-ops") {
             kp.jbbOps = parseInt(next(), "--jbb-ops", 1);
         } else if (arg == "--jbb-customers") {
