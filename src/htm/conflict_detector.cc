@@ -37,7 +37,7 @@ ConflictDetector::addContext(HtmContext* ctx)
         }
     }
     ctxs.push_back(ctx);
-    ctx->setSharerListener(this);
+    ctx->setDetector(this);
     // The chip-wide contention manager is built from the first
     // context's configuration (policies are per-machine, not per-CPU).
     if (!cm)
@@ -66,37 +66,38 @@ ConflictDetector::noteSequenceAbandoned(CpuId cpu)
 }
 
 void
-ConflictDetector::onSharerUpdate(HtmContext* ctx, Addr unit,
-                                 std::uint32_t readers,
-                                 std::uint32_t writers)
+ConflictDetector::updateSharer(HtmContext* ctx, Addr unit, bool is_write,
+                               std::uint32_t clear_bits,
+                               std::uint32_t set_bits)
 {
-    if (readers | writers) {
-        SharerEntry& e = sharerIndex[unit];
-        auto it = std::lower_bound(
-            e.sharers.begin(), e.sharers.end(), ctx->cpuId(),
-            [](const SharerSlot& s, CpuId id) { return s.ctx->cpuId() < id; });
-        if (it != e.sharers.end() && it->ctx == ctx) {
-            it->readers = readers;
-            it->writers = writers;
-        } else {
-            e.sharers.insert(it, SharerSlot{ctx, readers, writers});
-        }
-        if (readers)
-            globalReadSig.add(unit);
-        if (writers)
-            globalWriteSig.add(unit);
+    auto bySlotCpu = [](const SharerSlot& s, CpuId id) {
+        return s.ctx->cpuId() < id;
+    };
+    if (set_bits) {
+        (is_write ? globalWriteSig : globalReadSig).add(unit);
+        auto& sharers = sharerIndex[unit].sharers;
+        auto it = std::lower_bound(sharers.begin(), sharers.end(),
+                                   ctx->cpuId(), bySlotCpu);
+        if (it == sharers.end() || it->ctx != ctx)
+            it = sharers.insert(it, SharerSlot{ctx, 0, 0});
+        std::uint32_t& m = is_write ? it->writers : it->readers;
+        m = (m & ~clear_bits) | set_bits;
         return;
     }
     auto mit = sharerIndex.find(unit);
     if (mit == sharerIndex.end())
-        return;
+        panic("sharer index has no entry for unit 0x%llx",
+              static_cast<unsigned long long>(unit));
     auto& sharers = mit->second.sharers;
-    for (auto it = sharers.begin(); it != sharers.end(); ++it) {
-        if (it->ctx == ctx) {
-            sharers.erase(it);
-            break;
-        }
-    }
+    auto it = std::lower_bound(sharers.begin(), sharers.end(), ctx->cpuId(),
+                               bySlotCpu);
+    if (it == sharers.end() || it->ctx != ctx)
+        panic("sharer index has no cpu%d slot for unit 0x%llx",
+              ctx->cpuId(), static_cast<unsigned long long>(unit));
+    (is_write ? it->writers : it->readers) &= ~clear_bits;
+    if (it->readers | it->writers)
+        return;
+    sharers.erase(it);
     if (sharers.empty()) {
         sharerIndex.erase(mit);
         if (sharerIndex.empty()) {
@@ -422,13 +423,6 @@ ConflictDetector::validatedPeerBlocks(CpuId cpu, Addr unit,
             return true;
     }
     return false;
-}
-
-bool
-ConflictDetector::nonTxLoadMustStall(CpuId cpu, Addr line) const
-{
-    auto it = lockOwner.find(line);
-    return it != lockOwner.end() && it->second.owner != cpu;
 }
 
 Cycles

@@ -13,10 +13,10 @@
  * Also provides strong atomicity for non-transactional stores.
  *
  * Conflict queries are served from an inverted sharer index
- * (track-unit -> per-CPU reader/writer level-masks, kept in sync via
- * SharerIndexListener callbacks from every context) fronted by
- * chip-wide Bloom signatures, so each query costs O(actual sharers)
- * instead of O(all contexts x nesting depth).
+ * (track-unit -> per-CPU reader/writer level-masks, fed a bit delta by
+ * every context on each per-level set change) fronted by chip-wide
+ * Bloom signatures, so each query costs O(actual sharers) instead of
+ * O(all contexts x nesting depth).
  */
 
 #ifndef TMSIM_HTM_CONFLICT_DETECTOR_HH
@@ -35,22 +35,27 @@
 
 namespace tmsim {
 
-class ConflictDetector : public SharerIndexListener
+class ConflictDetector
 {
   public:
     ConflictDetector(EventQueue& eq, StatsRegistry& stats);
 
     /** Register a per-CPU context (called by the Machine at build).
      *  Contexts must share conflict-tracking granularity and line
-     *  size; they register this detector as their sharer listener. */
+     *  size; they report every set change to this detector. */
     void addContext(HtmContext* ctx);
 
     size_t numContexts() const { return ctxs.size(); }
 
-    /** SharerIndexListener: a context's aggregate masks for @p unit
-     *  changed; mirror them into the inverted index. */
-    void onSharerUpdate(HtmContext* ctx, Addr unit, std::uint32_t readers,
-                        std::uint32_t writers) override;
+    /**
+     * @p ctx's reader (or, if @p is_write, writer) level-mask for
+     * @p unit changed: clear @p clear_bits, then set @p set_bits. One
+     * call covers a set insert, a release, a closed-nested merge-down
+     * (child bit cleared, parent bit set) and a dropped level. A slot
+     * whose masks both reach zero leaves the index.
+     */
+    void updateSharer(HtmContext* ctx, Addr unit, bool is_write,
+                      std::uint32_t clear_bits, std::uint32_t set_bits);
 
     /** Point lock-stall span emission at @p t (the Machine's tracer). */
     void setTracer(TxTracer* t) { tracer = t; }
@@ -147,12 +152,6 @@ class ConflictDetector : public SharerIndexListener
     void nonTxStore(CpuId cpu, Addr line);
 
     /**
-     * A non-transactional load: nothing to violate, but the caller must
-     * stall on pinned lines; exposed for symmetry/tests.
-     */
-    bool nonTxLoadMustStall(CpuId cpu, Addr line) const;
-
-    /**
      * True if a context other than @p cpu has a Validated (committing)
      * level whose write-set — or, for a store, read-set too — contains
      * @p unit. A validated transaction is already serialised; a
@@ -195,7 +194,7 @@ class ConflictDetector : public SharerIndexListener
     // --- sharer-index test hooks ---
 
     /** Reader/writer level-mask the index records for (@p ctx, @p unit);
-     *  must equal the context's brute-force per-level scan. */
+     *  must equal the context's per-level scan (levelsReading/Writing). */
     std::uint32_t indexedReaders(const HtmContext& ctx, Addr unit) const;
     std::uint32_t indexedWriters(const HtmContext& ctx, Addr unit) const;
 

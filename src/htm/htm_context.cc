@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "htm/conflict_detector.hh"
 #include "htm/contention.hh"
 #include "sim/logging.hh"
 #include "sim/trace.hh"
@@ -25,8 +26,6 @@ HtmContext::HtmContext(CpuId id_, const HtmConfig& cfg_, BackingStore& mem_,
       statSubsumed(stats.counter(strfmt("cpu%d.htm.subsumed_begins", id_))),
       statCapacityAborts(
           stats.counter(strfmt("cpu%d.htm.capacity_aborts", id_))),
-      statSigFiltered(stats.counter("htm.sig_filtered")),
-      statSigFalsePositives(stats.counter("htm.sig_false_positives")),
       statCapacitySpills(stats.counter("htm.capacity_spills")),
       distRsetAtCommit(stats.distribution("htm.rset_size_at_commit")),
       distWsetAtCommit(stats.distribution("htm.wset_size_at_commit"))
@@ -124,7 +123,7 @@ HtmContext::specRead(Addr addr)
     Word value = readVisible(addr);
     Addr unit = trackUnit(addr);
     if (top().readLines.insert(unit)) {
-        noteReadInsert(unit);
+        noteInsert(unit, false);
         if (cfg.rsetCap > 0)
             enforceCapacity(false, unit);
     }
@@ -146,15 +145,11 @@ HtmContext::specWrite(Addr addr, Word value)
     } else {
         pushUndo(addr);
         mem.write(addr, value);
-        if (top().writtenWords.insert(addr)) {
-            // Cover the in-place word in the write signature so
-            // wroteWordInPlace() gets the same fast-negative filter.
-            writeSig.add(sigEpoch, addr);
-        }
+        top().writtenWords.insert(addr);
     }
     Addr unit = trackUnit(addr);
     if (top().writeLines.insert(unit)) {
-        noteWriteInsert(unit);
+        noteInsert(unit, true);
         if (cfg.wsetCap > 0)
             enforceCapacity(true, unit);
     }
@@ -192,91 +187,34 @@ HtmContext::releaseLine(Addr addr)
         return;
     Addr unit = trackUnit(addr);
     if (top().readLines.erase(unit))
-        noteReadErase(unit);
+        updateSharer(unit, false, 1u << (depth() - 1), 0);
 }
 
 void
-HtmContext::notifySharer(Addr unit)
+HtmContext::updateSharer(Addr unit, bool is_write, std::uint32_t clear_bits,
+                         std::uint32_t set_bits)
 {
-    if (sharerListener)
-        sharerListener->onSharerUpdate(this, unit, readersOf(unit),
-                                       writersOf(unit));
+    if (det)
+        det->updateSharer(this, unit, is_write, clear_bits, set_bits);
 }
 
 void
-HtmContext::noteReadInsert(Addr unit)
+HtmContext::noteInsert(Addr unit, bool is_write)
 {
-    std::uint32_t& m = aggReaders[unit];
-    m |= 1u << (depth() - 1);
-    readSig.add(sigEpoch, unit);
     if (cmgr)
         cmgr->onTrackedAccess(id);
-    if (sharerListener)
-        sharerListener->onSharerUpdate(this, unit, m, writersOf(unit));
+    updateSharer(unit, is_write, 0, 1u << (depth() - 1));
 }
 
 void
-HtmContext::noteWriteInsert(Addr unit)
-{
-    std::uint32_t& m = aggWriters[unit];
-    m |= 1u << (depth() - 1);
-    writeSig.add(sigEpoch, unit);
-    if (cmgr)
-        cmgr->onTrackedAccess(id);
-    if (sharerListener)
-        sharerListener->onSharerUpdate(this, unit, readersOf(unit), m);
-}
-
-void
-HtmContext::noteReadErase(Addr unit)
-{
-    std::uint32_t* m = aggReaders.find(unit);
-    if (!m)
-        panic("read-aggregate missing unit 0x%llx",
-              static_cast<unsigned long long>(unit));
-    *m &= ~(1u << (depth() - 1));
-    if (*m == 0)
-        aggReaders.erase(unit);
-    // The signature keeps the stale bit (false positives only).
-    notifySharer(unit);
-}
-
-void
-HtmContext::dropLevelFromAggregates(int lvl)
+HtmContext::dropLevelFromIndex(int lvl)
 {
     const TxLevel& t = levels[static_cast<size_t>(lvl - 1)];
     const std::uint32_t bit = 1u << (lvl - 1);
-    for (Addr unit : t.readLines) {
-        std::uint32_t* m = aggReaders.find(unit);
-        *m &= ~bit;
-        if (*m == 0)
-            aggReaders.erase(unit);
-        notifySharer(unit);
-    }
-    for (Addr unit : t.writeLines) {
-        std::uint32_t* m = aggWriters.find(unit);
-        *m &= ~bit;
-        if (*m == 0)
-            aggWriters.erase(unit);
-        notifySharer(unit);
-    }
-}
-
-void
-HtmContext::mergeChildAggregates(const TxLevel& child, int child_level)
-{
-    const std::uint32_t childBit = 1u << (child_level - 1);
-    const std::uint32_t parentBit = childBit >> 1;
-    for (Addr unit : child.readLines) {
-        std::uint32_t& m = aggReaders[unit];
-        m = (m & ~childBit) | parentBit;
-        notifySharer(unit);
-    }
-    for (Addr unit : child.writeLines) {
-        std::uint32_t& m = aggWriters[unit];
-        m = (m & ~childBit) | parentBit;
-        notifySharer(unit);
-    }
+    for (Addr unit : t.readLines)
+        updateSharer(unit, false, bit, 0);
+    for (Addr unit : t.writeLines)
+        updateSharer(unit, true, bit, 0);
 }
 
 void
@@ -284,57 +222,24 @@ HtmContext::onAllLevelsGone()
 {
     overflowLines = 0;
     validatedMask = 0;
-    // Lazy signature clear: both sets are provably empty here, so a
-    // new epoch invalidates every stale bit at once.
-    ++sigEpoch;
 }
 
 std::uint32_t
 HtmContext::levelsReading(Addr line) const
 {
-    if (!readSig.mayContain(sigEpoch, line)) {
-        ++statSigFiltered;
-        return 0;
-    }
-    const std::uint32_t* m = aggReaders.find(line);
-    if (!m) {
-        ++statSigFalsePositives;
-        return 0;
-    }
-    return *m;
-}
-
-std::uint32_t
-HtmContext::levelsWriting(Addr line) const
-{
-    if (!writeSig.mayContain(sigEpoch, line)) {
-        ++statSigFiltered;
-        return 0;
-    }
-    const std::uint32_t* m = aggWriters.find(line);
-    if (!m) {
-        ++statSigFalsePositives;
-        return 0;
-    }
-    return *m;
-}
-
-std::uint32_t
-HtmContext::levelsReadingScan(Addr line) const
-{
     std::uint32_t mask = 0;
     for (size_t i = 0; i < levels.size(); ++i)
-        if (levels[i].readLines.count(line))
+        if (levels[i].readLines.contains(line))
             mask |= 1u << i;
     return mask;
 }
 
 std::uint32_t
-HtmContext::levelsWritingScan(Addr line) const
+HtmContext::levelsWriting(Addr line) const
 {
     std::uint32_t mask = 0;
     for (size_t i = 0; i < levels.size(); ++i)
-        if (levels[i].writeLines.count(line))
+        if (levels[i].writeLines.contains(line))
             mask |= 1u << i;
     return mask;
 }
@@ -352,12 +257,8 @@ HtmContext::validatedLevelsScan() const
 bool
 HtmContext::wroteWordInPlace(Addr word_addr) const
 {
-    if (cfg.version != VersionMode::UndoLog || !inTx())
+    if (cfg.version != VersionMode::UndoLog)
         return false;
-    if (!writeSig.mayContain(sigEpoch, word_addr)) {
-        ++statSigFiltered;
-        return false;
-    }
     for (const auto& lvl : levels)
         if (lvl.writtenWords.contains(word_addr))
             return true;
@@ -422,7 +323,7 @@ HtmContext::clearTopSets()
 {
     if (!inTx())
         panic("clearTopSets outside a transaction");
-    dropLevelFromAggregates(depth());
+    dropLevelFromIndex(depth());
     top().clearSets();
 }
 
@@ -441,13 +342,19 @@ HtmContext::commitClosedTop()
     levels.pop_back();
     TxLevel& parent = levels.back();
 
-    for (Addr a : child.readLines)
+    // The child's bit moves down to the parent in the sharer index.
+    const std::uint32_t childBit = 1u << (childLevelNum - 1);
+    const std::uint32_t parentBit = childBit >> 1;
+    for (Addr a : child.readLines) {
         parent.readLines.insert(a);
-    for (Addr a : child.writeLines)
+        updateSharer(a, false, childBit, parentBit);
+    }
+    for (Addr a : child.writeLines) {
         parent.writeLines.insert(a);
-    mergeChildAggregates(child, childLevelNum);
+        updateSharer(a, true, childBit, parentBit);
+    }
     // The popped child level's Validated bit (if any) no longer exists.
-    validatedMask &= ~(1u << (childLevelNum - 1));
+    validatedMask &= ~childBit;
     for (const auto& [word, value] : child.writeBuffer)
         parent.writeBuffer[word] = value;
     for (Addr w : child.writtenWords)
@@ -455,23 +362,18 @@ HtmContext::commitClosedTop()
     // Undo-log entries of the child are absorbed by the parent simply
     // because the parent's undoBase already bounds them (paper 6.3.1).
 
-    int childLevel = depth() + 1;
     if (l1)
-        l1->mergeLevelDown(childLevel);
+        l1->mergeLevelDown(childLevelNum);
     if (l2)
-        l2->mergeLevelDown(childLevel);
+        l2->mergeLevelDown(childLevelNum);
     // A conflict recorded against the child between its last poll
     // point and this merge now applies to the parent: the stale data
     // just merged into the parent's sets. Transfer the mask bits
     // instead of dropping them.
-    {
-        const std::uint32_t childBit = 1u << (childLevel - 1);
-        const std::uint32_t parentBit = childBit >> 1;
-        if (vcurrent & childBit)
-            vcurrent = (vcurrent & ~childBit) | parentBit;
-        if (vpending & childBit)
-            vpending = (vpending & ~childBit) | parentBit;
-    }
+    if (vcurrent & childBit)
+        vcurrent = (vcurrent & ~childBit) | parentBit;
+    if (vpending & childBit)
+        vpending = (vpending & ~childBit) | parentBit;
     // A closed-nested merge can push the parent past its own caps (the
     // merged sets are the union): re-check, counting fresh spills in
     // overflow/virtualised mode or aborting the parent level in abort
@@ -554,7 +456,7 @@ HtmContext::popCommittedTop()
     if (l2)
         l2->commitOpenLevel(lvl);
     clearViolationBits(lvl);
-    dropLevelFromAggregates(lvl);
+    dropLevelFromIndex(lvl);
     validatedMask &= ~(1u << (lvl - 1));
     levels.pop_back();
     if (levels.empty()) {
@@ -587,7 +489,7 @@ HtmContext::rollbackTo(int target)
         if (l2)
             l2->clearLevel(lvl);
         clearViolationBits(lvl);
-        dropLevelFromAggregates(lvl);
+        dropLevelFromIndex(lvl);
         validatedMask &= ~(1u << (lvl - 1));
         levels.pop_back();
         ++statRollbacks;
@@ -781,14 +683,8 @@ HtmContext::truncateUndo(size_t new_size)
 void
 HtmContext::resetAll()
 {
-    if (sharerListener) {
-        for (const auto& [unit, mask] : aggReaders)
-            sharerListener->onSharerUpdate(this, unit, 0, 0);
-        for (const auto& [unit, mask] : aggWriters)
-            sharerListener->onSharerUpdate(this, unit, 0, 0);
-    }
-    aggReaders.clear();
-    aggWriters.clear();
+    for (int lvl = depth(); lvl >= 1; --lvl)
+        dropLevelFromIndex(lvl);
     levels.clear();
     undoLog.clear();
     undoIndex.clear();

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "htm/htm_config.hh"
-#include "htm/signature.hh"
 #include "htm/tx_level.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
@@ -23,6 +22,7 @@
 
 namespace tmsim {
 
+class ConflictDetector;
 class ContentionManager;
 class TxTracer;
 
@@ -111,11 +111,11 @@ class HtmContext
     /** release: drop a line from the current level's read-set. */
     void releaseLine(Addr addr);
 
-    // --- set queries (track-unit addresses), used by conflict detection ---
+    // --- set queries (track-unit addresses) ---
     //
-    // Answered from incrementally maintained per-context aggregates: a
-    // Bloom signature gives a one-word fast-negative, then a single
-    // unit -> level-mask map probe replaces the per-level scan.
+    // Answered from the per-level sets (one small-set probe per active
+    // level). Peers' sets are queried through the ConflictDetector's
+    // sharer index instead, which every set change here keeps exact.
 
     /** Bitmask of levels (bit level-1) whose read-set contains @p line. */
     std::uint32_t levelsReading(Addr line) const;
@@ -126,17 +126,14 @@ class HtmContext
     /** Bitmask of levels whose status is Validated. */
     std::uint32_t validatedLevels() const { return validatedMask; }
 
-    /** Brute-force reference implementations of the three queries
-     *  above (per-level hash probes). The aggregates must agree with
-     *  these after every operation; the randomized property test
-     *  asserts it. */
-    std::uint32_t levelsReadingScan(Addr line) const;
-    std::uint32_t levelsWritingScan(Addr line) const;
+    /** Reference scan of the level statuses behind validatedLevels();
+     *  the randomized property test checks the cached mask against it. */
     std::uint32_t validatedLevelsScan() const;
 
-    /** Register the chip-wide sharer-index maintainer (the
-     *  ConflictDetector); it is notified on every aggregate change. */
-    void setSharerListener(SharerIndexListener* l) { sharerListener = l; }
+    /** Register the chip-wide conflict detector, whose sharer index
+     *  receives every per-level set change as a bit delta. Null (raw
+     *  unit tests) keeps the context standalone. */
+    void setDetector(ConflictDetector* d) { det = d; }
 
     /** Point lifecycle-event emission at @p t (the Machine's tracer).
      *  Defaults to TxTracer::nil(), the disabled null sink. */
@@ -175,7 +172,7 @@ class HtmContext
     const std::vector<std::pair<Addr, Word>>& topWrittenWords() const;
 
     /** Discard the top level's read/write-set and speculative data
-     *  (xrwsetclear), keeping the aggregates and sharer index in sync. */
+     *  (xrwsetclear), keeping the sharer index in sync. */
     void clearTopSets();
 
     /**
@@ -343,30 +340,18 @@ class HtmContext
             vheld = false;
     }
 
-    // --- aggregate / signature / sharer-index maintenance ---
+    // --- sharer-index maintenance ---
     //
     // Every mutation of a level's read/write-set funnels through these
-    // so the unit -> level-mask aggregates, the Bloom signatures and
-    // the detector's inverted index stay equal to a brute-force scan.
+    // so the detector's index stays equal to a per-level scan.
 
-    std::uint32_t
-    readersOf(Addr unit) const
-    {
-        const std::uint32_t* m = aggReaders.find(unit);
-        return m ? *m : 0;
-    }
+    /** Report a change of @p unit's reader (or, if @p is_write, writer)
+     *  level-mask to the detector: @p clear_bits go, @p set_bits come. */
+    void updateSharer(Addr unit, bool is_write, std::uint32_t clear_bits,
+                      std::uint32_t set_bits);
 
-    std::uint32_t
-    writersOf(Addr unit) const
-    {
-        const std::uint32_t* m = aggWriters.find(unit);
-        return m ? *m : 0;
-    }
-
-    void notifySharer(Addr unit);
-    void noteReadInsert(Addr unit);
-    void noteWriteInsert(Addr unit);
-    void noteReadErase(Addr unit);
+    /** A unit newly entered the top level's read- or write-set. */
+    void noteInsert(Addr unit, bool is_write);
 
     /** Capacity-bound enforcement after a top-level set insert; only
      *  called when the relevant cap is configured. */
@@ -379,17 +364,11 @@ class HtmContext
      *  and raise a self-violation against level @p lvl. */
     void raiseCapacityAbort(int lvl, Addr unit);
 
-    /** Remove level @p lvl's bit from the aggregates of every unit in
-     *  its sets (pop, rollback, xrwsetclear). */
-    void dropLevelFromAggregates(int lvl);
+    /** Remove level @p lvl's bit from the index entry of every unit
+     *  in its sets (pop, rollback, xrwsetclear, reset). */
+    void dropLevelFromIndex(int lvl);
 
-    /** Rewrite aggregates when a closed-nested child merges into its
-     *  parent (child bit moves down one level). */
-    void mergeChildAggregates(const TxLevel& child, int child_level);
-
-    /** Called whenever the context leaves its outermost transaction:
-     *  all sets are empty, so the signatures can be invalidated
-     *  wholesale (lazy clear via epoch bump). */
+    /** Called whenever the context leaves its outermost transaction. */
     void onAllLevelsGone();
 
     CpuId id;
@@ -408,22 +387,11 @@ class HtmContext
      *  cost O(entries for this word) instead of O(log length). */
     FlatAddrMap<std::vector<std::uint32_t>> undoIndex;
 
-    /** Track-unit -> bitmask of levels reading/writing it; the union of
-     *  the per-level sets, maintained incrementally. */
-    FlatAddrMap<std::uint32_t> aggReaders;
-    FlatAddrMap<std::uint32_t> aggWriters;
-
-    /** Bloom filters over the aggregates (write signature also covers
-     *  in-place written words under undo-log versioning). Invalidated
-     *  by epoch bump when the context leaves all transactions. */
-    EpochSignature readSig;
-    EpochSignature writeSig;
-    std::uint64_t sigEpoch = 1;
-
     /** Cached validatedLevels() mask. */
     std::uint32_t validatedMask = 0;
 
-    SharerIndexListener* sharerListener = nullptr;
+    /** Chip-wide conflict detector (nullable; see setDetector). */
+    ConflictDetector* det = nullptr;
 
     /** Chip-wide contention manager (nullable; see setContentionManager). */
     ContentionManager* cmgr = nullptr;
@@ -461,10 +429,6 @@ class HtmContext
     StatsRegistry::Counter& statViolationsRaised;
     StatsRegistry::Counter& statSubsumed;
     StatsRegistry::Counter& statCapacityAborts;
-
-    /** Chip-wide (shared-name) signature filter stats. */
-    StatsRegistry::Counter& statSigFiltered;
-    StatsRegistry::Counter& statSigFalsePositives;
 
     /** Chip-wide: lines spilled into software overflow logs. */
     StatsRegistry::Counter& statCapacitySpills;

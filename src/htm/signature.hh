@@ -1,16 +1,14 @@
 /**
  * @file
- * Bloom signatures over conflict-tracking units, plus the listener
- * interface that keeps the chip-wide sharer index in sync with
- * per-context read/write sets.
+ * Bloom signatures over conflict-tracking units: the chip-wide filter
+ * in front of the ConflictDetector's sharer index.
  *
  * A signature answers "might this unit be in the set?" with no false
  * negatives: a negative answer lets conflict queries skip every hash
  * probe. Bits are only ever added; stale bits after a set shrinks
  * (release, rollback, commit) merely cause false positives, which the
- * exact map lookup behind the filter resolves. Signatures are cleared
- * wholesale at cheap exact points (context leaves all transactions /
- * the sharer index empties).
+ * exact index lookup behind the filter resolves. The detector clears
+ * its signatures wholesale when the sharer index empties.
  */
 
 #ifndef TMSIM_HTM_SIGNATURE_HH
@@ -59,8 +57,6 @@ class TxSignature
         std::memset(bits, 0, sizeof(bits));
     }
 
-    bool empty() const { return summary == 0; }
-
   private:
     /** SplitMix64 finaliser: cheap, well-mixed bits from an address. */
     static std::uint64_t
@@ -83,54 +79,6 @@ class TxSignature
 
     std::uint64_t summary = 0;
     std::uint64_t bits[numBits / 64] = {};
-};
-
-/**
- * A TxSignature cleared lazily by epoch: bumping the owner's epoch
- * invalidates the signature without touching its bits; the clear is
- * paid only if the signature is used again.
- */
-class EpochSignature
-{
-  public:
-    void
-    add(std::uint64_t cur_epoch, Addr unit)
-    {
-        if (epoch != cur_epoch) {
-            sig.clear();
-            epoch = cur_epoch;
-        }
-        sig.add(unit);
-    }
-
-    bool
-    mayContain(std::uint64_t cur_epoch, Addr unit) const
-    {
-        return epoch == cur_epoch && sig.mayContain(unit);
-    }
-
-  private:
-    TxSignature sig;
-    std::uint64_t epoch = 0;
-};
-
-class HtmContext;
-
-/**
- * Receiver of sharer-set updates. Whenever a context's aggregate
- * reader/writer level-masks for a tracking unit change, it reports the
- * new masks here (both zero once the context no longer tracks the
- * unit). The ConflictDetector implements this to maintain its inverted
- * unit -> sharers index.
- */
-class SharerIndexListener
-{
-  public:
-    virtual ~SharerIndexListener() = default;
-
-    virtual void onSharerUpdate(HtmContext* ctx, Addr unit,
-                                std::uint32_t readers,
-                                std::uint32_t writers) = 0;
 };
 
 } // namespace tmsim

@@ -13,14 +13,13 @@
  *    on contiguous memory beats any hash — and an open-addressed
  *    index of element positions once it grows past scanMax.
  *  - FlatAddrMap<V>: the same layout over (Addr, V) entries, used for
- *    the write buffer, the per-unit level-mask aggregates and the
- *    undo-log index.
+ *    the write buffer and the undo-log index.
  *
  * Iteration visits elements in insertion order (erase() swap-removes,
  * so order is only stable for sets that never erase — which is what
- * the write-set order reconstruction in HtmContext relies on).
- * clear() keeps capacity, so long-lived containers stop allocating
- * once warm.
+ * makes a level's write set iterate in first-insert order, the commit
+ * broadcast order). clear() keeps capacity, so long-lived containers
+ * stop allocating once warm.
  */
 
 #ifndef TMSIM_HTM_SMALL_SET_HH

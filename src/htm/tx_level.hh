@@ -27,12 +27,12 @@ enum class TxStatus
 };
 
 /**
- * One active nesting level. The read-set/write-set here are the
- * authoritative line-granularity sets; the cache annotations mirror
- * them for capacity/timing modelling, and HtmContext mirrors them
- * again in per-context unit -> level-mask aggregates (plus Bloom
- * signatures and the detector's sharer index). Mutate the sets only
- * through HtmContext so every mirror stays in sync.
+ * One active nesting level: R_i/W_i of paper figure 4. The read-set
+ * and write-set here are the authoritative sets of conflict-tracking
+ * units; the cache annotations mirror them for capacity/timing
+ * modelling, and the ConflictDetector's sharer index mirrors them as
+ * unit -> level-mask entries. Mutate the sets only through HtmContext,
+ * which reports every change to the index.
  */
 struct TxLevel
 {
@@ -42,9 +42,10 @@ struct TxLevel
     /** Tick of the xbegin that created this level (conflict ages). */
     Tick beginTick = 0;
 
-    /** Line-granularity read and write sets. The read set may drop
-     *  lines (release); the write set only ever grows, so it iterates
-     *  in first-insert order, which is the commit broadcast order. */
+    /** Read and write sets of track units (lines, or words under word
+     *  granularity). The read set may drop units (release); the write
+     *  set only ever grows, so it iterates in first-insert order,
+     *  which is the commit broadcast order. */
     FlatAddrSet<8> readLines;
     FlatAddrSet<8> writeLines;
 
@@ -83,7 +84,7 @@ struct TxLevel
     }
 
     /** Discard all tracked sets and speculative data (xrwsetclear).
-     *  Callers must first detach the level from the aggregates (see
+     *  Callers must first detach the level from the sharer index (see
      *  HtmContext::clearTopSets). */
     void
     clearSets()

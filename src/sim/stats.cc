@@ -127,13 +127,6 @@ StatsRegistry::distribution(const std::string& name)
     return dists[name];
 }
 
-StatsRegistry::Distribution&
-StatsRegistry::distribution(const std::string& name, int sub_bucket_bits)
-{
-    return dists.try_emplace(name, Distribution(sub_bucket_bits))
-        .first->second;
-}
-
 void
 StatsRegistry::formula(const std::string& name, const std::string& num,
                        const std::string& den)

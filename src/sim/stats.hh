@@ -262,12 +262,6 @@ class StatsRegistry
     /** Register (or look up) a distribution (default resolution). */
     Distribution& distribution(const std::string& name);
 
-    /** Register (or look up) a distribution with an explicit
-     *  sub-bucket-bits resolution. The resolution only applies on
-     *  first registration; a later lookup under a different @p
-     *  sub_bucket_bits returns the existing instance unchanged. */
-    Distribution& distribution(const std::string& name, int sub_bucket_bits);
-
     /**
      * Register a formula @p name = sum(@p num) / sum(@p den).
      * Re-registering an existing name overwrites its patterns.

@@ -23,10 +23,8 @@ StmThreadStats::mergeFrom(const StmThreadStats& o)
     commitHandlerRuns += o.commitHandlerRuns;
     violationHandlerRuns += o.violationHandlerRuns;
     abortHandlerRuns += o.abortHandlerRuns;
-    readSetSizes.insert(readSetSizes.end(), o.readSetSizes.begin(),
-                        o.readSetSizes.end());
-    writeSetSizes.insert(writeSetSizes.end(), o.writeSetSizes.begin(),
-                         o.writeSetSizes.end());
+    readSetSize.mergeFrom(o.readSetSize);
+    writeSetSize.mergeFrom(o.writeSetSize);
 }
 
 namespace {
@@ -137,12 +135,8 @@ StmRuntime::mergeStats(StatsRegistry& reg) const
         total.violationHandlerRuns;
     reg.counter("stm.handler_runs_abort") += total.abortHandlerRuns;
 
-    auto& rs = reg.distribution("stm.read_set_size");
-    for (std::uint64_t v : total.readSetSizes)
-        rs.sample(v);
-    auto& ws = reg.distribution("stm.write_set_size");
-    for (std::uint64_t v : total.writeSetSizes)
-        ws.sample(v);
+    reg.distribution("stm.read_set_size").mergeFrom(total.readSetSize);
+    reg.distribution("stm.write_set_size").mergeFrom(total.writeSetSize);
 }
 
 } // namespace tmsim

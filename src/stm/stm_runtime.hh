@@ -15,13 +15,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 #include "stm/orec_table.hh"
 #include "stm/stm_config.hh"
 
 namespace tmsim {
-
-class StatsRegistry;
 
 /** Host-side event counts of one thread; plain (unshared) fields
  *  merged single-threaded after the run. */
@@ -42,8 +41,8 @@ struct StmThreadStats
     std::uint64_t commitHandlerRuns = 0;
     std::uint64_t violationHandlerRuns = 0;
     std::uint64_t abortHandlerRuns = 0;
-    std::vector<std::uint64_t> readSetSizes;  ///< sampled at commit
-    std::vector<std::uint64_t> writeSetSizes; ///< sampled at commit
+    StatsRegistry::Distribution readSetSize;  ///< sampled at commit
+    StatsRegistry::Distribution writeSetSize; ///< sampled at commit
 
     void mergeFrom(const StmThreadStats& o);
 };

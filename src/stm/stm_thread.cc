@@ -418,8 +418,8 @@ StmThread::xcommit()
     const std::size_t from = outermost ? 0 : levels.size() - 1;
     for (std::size_t li = from; li < levels.size(); ++li)
         nreads += levels[li].reads.size();
-    st.readSetSizes.push_back(nreads);
-    st.writeSetSizes.push_back(lv.writeBuf.size());
+    st.readSetSize.sample(nreads);
+    st.writeSetSize.sample(lv.writeBuf.size());
 
     // The committed level's handlers are consumed: truncate all three
     // stacks to the marks taken at its xbegin.

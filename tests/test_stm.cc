@@ -401,6 +401,45 @@ TEST(Stm, StatsMergeUnderStmPrefix)
     EXPECT_EQ(reg.value("stm.naked_loads"), 1u);
 }
 
+TEST(Stm, CommitSetSizesSampleOncePerCommit)
+{
+    StmFixture f;
+    StmThread t(f.rt, 0);
+    // Distinct words throughout, so every load enters the read set and
+    // every store the write set.
+    const auto run = [&](int reads, int writes, int first) {
+        const StmTxOutcome o = t.atomic([&](StmThread& th) {
+            for (int i = 0; i < reads; ++i)
+                (void)th.txLoad(f.addr(first + i));
+            for (int i = 0; i < writes; ++i)
+                th.txStore(f.addr(first + reads + i), 1);
+        });
+        EXPECT_TRUE(o.committed());
+    };
+    run(3, 1, 0);
+    run(1, 0, 8); // read-only
+    run(5, 4, 16);
+
+    StatsRegistry reg;
+    f.rt.mergeStats(reg);
+    ASSERT_EQ(reg.value("stm.commits"), 3u);
+    const StatsRegistry::Distribution* rs =
+        reg.findDistribution("stm.read_set_size");
+    const StatsRegistry::Distribution* ws =
+        reg.findDistribution("stm.write_set_size");
+    ASSERT_NE(rs, nullptr);
+    ASSERT_NE(ws, nullptr);
+    // ::samples in the dump.
+    EXPECT_EQ(rs->count(), reg.value("stm.commits"));
+    EXPECT_EQ(ws->count(), reg.value("stm.commits"));
+    EXPECT_EQ(rs->min(), 1u);
+    EXPECT_EQ(rs->max(), 5u);
+    EXPECT_EQ(rs->total(), 9u);
+    EXPECT_EQ(ws->min(), 0u);
+    EXPECT_EQ(ws->max(), 4u);
+    EXPECT_EQ(ws->total(), 5u);
+}
+
 TEST(Stm, WatchdogBreaksOutOfAStuckLock)
 {
     StmConfig cfg;
