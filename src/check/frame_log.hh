@@ -1,13 +1,14 @@
 /**
  * @file
- * Per-thread attempt-frame recorder shared by the fuzz interpreters of
- * every execution engine. Each logical thread keeps a stack of frames,
- * one per live transaction attempt; checked accesses are logged into
- * the top frame, a closed-nested commit folds the child frame into its
- * parent, and a restart discards the frames the failed attempt left
- * behind. The engine decides *when* these transitions happen (hooks in
- * the simulator, direct calls in the STM backend); the bookkeeping is
- * identical.
+ * Per-thread attempt-frame recorder of the fuzz walk (check/fuzz_walk),
+ * the one FuzzProgram interpreter every execution engine shares. Each
+ * logical thread keeps a stack of frames, one per live transaction
+ * attempt; checked accesses are logged into the top frame, a
+ * closed-nested commit folds the child frame into its parent, and a
+ * restart discards the frames the failed attempt left behind. The walk
+ * drives every transition the same way on every engine: an attempt
+ * enters when the engine's retry driver (re)invokes the body. The
+ * FrameLog is also the recorder's one error sink.
  */
 
 #ifndef TMSIM_CHECK_FRAME_LOG_HH
@@ -48,8 +49,8 @@ class FrameLog
         st.push_back(Frame{depth, {}});
     }
 
-    /** Log one checked access into the top frame; reports through the
-     *  owner's error sink when no frame is live. */
+    /** Log one checked access into the top frame; records an error
+     *  when no frame is live. */
     void
     logAccess(int tid, ObservedAccess::Kind kind, Addr a, Word v)
     {
@@ -122,12 +123,6 @@ class FrameLog
         }
         st.back().accesses.insert(st.back().accesses.end(),
                                   accesses.begin(), accesses.end());
-    }
-
-    bool
-    empty(int tid) const
-    {
-        return frames[static_cast<size_t>(tid)].empty();
     }
 
     /** First recorder-invariant violation, if any ("" when clean).

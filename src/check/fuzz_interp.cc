@@ -1,14 +1,12 @@
 #include "check/fuzz_interp.hh"
 
 #include <memory>
+#include <string>
+#include <utility>
 
 namespace tmsim {
 
 namespace {
-
-// Handler bodies registered by fuzz programs. They only touch the
-// unchecked Scratch region (via idempotent stores), so they are
-// invisible to the oracle no matter how often handlers fire.
 
 SimTask
 fuzzScratchStoreHandler(TxThread& th, const std::vector<Word>& args)
@@ -27,11 +25,27 @@ fuzzViolationHandler(TxThread& th, const ViolationInfo&,
 } // namespace
 
 FuzzInterp::FuzzInterp(const FuzzProgram& program, const HtmConfig& htm)
-    : prog(program), htmCfg(htm)
+    : FuzzWalk(program), htmCfg(htm)
 {
-    layout.slots = prog.slotsPerRegion;
     pending.assign(static_cast<size_t>(prog.numThreads()), -1);
-    flog.resize(static_cast<size_t>(prog.numThreads()));
+}
+
+SimTask
+FuzzInterp::onCommit(TxThread& t, Addr a, Word v)
+{
+    return t.onCommit(fuzzScratchStoreHandler, {a, v});
+}
+
+SimTask
+FuzzInterp::onViolation(TxThread& t, Addr a)
+{
+    return t.onViolation(fuzzViolationHandler, {a});
+}
+
+SimTask
+FuzzInterp::onAbort(TxThread& t, Addr a, Word v)
+{
+    return t.onAbort(fuzzScratchStoreHandler, {a, v});
 }
 
 Addr
@@ -42,39 +56,18 @@ FuzzInterp::trackUnitMask() const
     return ~(lineBytes - 1);
 }
 
-Addr
-FuzzInterp::trackUnitOf(Addr a) const
+bool
+FuzzInterp::hasPending(CpuId cpu) const
 {
-    return a & trackUnitMask();
-}
-
-void
-FuzzInterp::setError(const std::string& msg)
-{
-    if (rec.error.empty())
-        rec.error = msg;
+    return cpu >= 0 && cpu < static_cast<CpuId>(pending.size()) &&
+           pending[static_cast<size_t>(cpu)] != -1;
 }
 
 void
 FuzzInterp::attach(Machine& m)
 {
     lineBytes = m.config().l1.lineBytes;
-    // Line-align each region so no track unit spans two regions.
-    const Addr regionBytes =
-        static_cast<Addr>(layout.slots) * wordBytes;
-    layout.regionStride =
-        (regionBytes + lineBytes - 1) & ~(lineBytes - 1);
-    layout.base = m.memory().allocate(
-        static_cast<Addr>(numRegions) * layout.regionStride, lineBytes);
-    for (int r = 0; r < numRegions; ++r) {
-        for (int s = 0; s < layout.slots; ++s) {
-            const Region reg = static_cast<Region>(r);
-            m.memory().write(layout.addrOf(reg, s),
-                             FuzzLayout::initValue(reg, s));
-        }
-    }
-    rec.layout = layout;
-
+    placeRegions(m.memory(), lineBytes);
     m.setCommitOrderHooks(
         [this](CpuId cpu, bool open) { onSerialized(cpu, open); },
         [this](CpuId cpu) { onCancelled(cpu); });
@@ -84,12 +77,12 @@ void
 FuzzInterp::onSerialized(CpuId cpu, bool open)
 {
     if (cpu < 0 || cpu >= static_cast<CpuId>(pending.size())) {
-        setError("serialize hook from unexpected cpu");
+        flog.setError("serialize hook from unexpected cpu");
         return;
     }
     if (pending[cpu] != -1) {
-        setError("cpu serialized a second unit before filling the "
-                 "first (recorder invariant broken)");
+        flog.setError("cpu serialized a second unit before filling the "
+                      "first (recorder invariant broken)");
         return;
     }
     ObservedUnit u;
@@ -103,9 +96,8 @@ FuzzInterp::onSerialized(CpuId cpu, bool open)
 void
 FuzzInterp::onCancelled(CpuId cpu)
 {
-    if (cpu < 0 || cpu >= static_cast<CpuId>(pending.size()) ||
-        pending[static_cast<size_t>(cpu)] == -1) {
-        setError("serialize-cancel with no pending unit");
+    if (!hasPending(cpu)) {
+        flog.setError("serialize-cancel with no pending unit");
         return;
     }
     rec.units[static_cast<size_t>(pending[cpu])].dead = true;
@@ -113,17 +105,18 @@ FuzzInterp::onCancelled(CpuId cpu)
 }
 
 void
-FuzzInterp::attachCommit(CpuId cpu, ObservedUnit::Kind kind,
-                         std::vector<ObservedAccess> accesses)
+FuzzInterp::commitUnit(TxThread& t, ObservedUnit::Kind kind,
+                       std::vector<ObservedAccess> accesses)
 {
-    if (cpu < 0 || cpu >= static_cast<CpuId>(pending.size()) ||
-        pending[static_cast<size_t>(cpu)] == -1) {
-        setError("commit completed without a serialization point");
+    const CpuId cpu = t.cpu().id();
+    if (!hasPending(cpu)) {
+        flog.setError("commit completed without a serialization point");
         return;
     }
     ObservedUnit& u = rec.units[static_cast<size_t>(pending[cpu])];
     if (u.kind != kind) {
-        setError("commit kind does not match its serialization record");
+        flog.setError("commit kind does not match its serialization "
+                      "record");
         return;
     }
     u.accesses = std::move(accesses);
@@ -132,219 +125,60 @@ FuzzInterp::attachCommit(CpuId cpu, ObservedUnit::Kind kind,
 }
 
 void
-FuzzInterp::recordNaked(ObservedUnit::Kind kind, CpuId cpu, Addr a,
-                        Word v)
+FuzzInterp::unwound(TxThread& t, int tid, bool open, int depth)
 {
-    ObservedUnit u;
-    u.kind = kind;
-    u.cpu = cpu;
-    u.addr = a;
-    u.value = v;
-    u.filled = true;
-    rec.units.push_back(std::move(u));
-}
-
-SimTask
-FuzzInterp::execBody(TxThread& t, int tid, int tx_idx, int depth)
-{
-    const FuzzTx& tx = prog.txs[static_cast<size_t>(tx_idx)];
-    for (const FuzzOp& op : tx.ops) {
-        const Addr a = layout.addrOf(op.region, op.slot);
-        switch (op.kind) {
-        case FuzzOpKind::TxRead: {
-            const Word v = co_await t.ld(a);
-            flog.logAccess(tid, ObservedAccess::Kind::Read, a, v);
-            break;
-        }
-        case FuzzOpKind::TxAdd: {
-            const Word v = co_await t.ld(a);
-            co_await t.st(a, v + op.value);
-            flog.logAccess(tid, ObservedAccess::Kind::Read, a, v);
-            flog.logAccess(tid, ObservedAccess::Kind::Write, a, v + op.value);
-            break;
-        }
-        case FuzzOpKind::Release:
-            co_await t.cpu().release(a);
-            flog.markReleased(tid, trackUnitOf(a), trackUnitMask());
-            break;
-        case FuzzOpKind::ImmRead:
-            co_await t.cpu().imld(a);
-            break;
-        case FuzzOpKind::ImmStore:
-            co_await t.cpu().imst(a, op.value);
-            break;
-        case FuzzOpKind::ImmStoreIdem:
-            co_await t.cpu().imstid(a, op.value);
-            break;
-        case FuzzOpKind::Exec:
-            co_await t.work(op.value);
-            break;
-        case FuzzOpKind::HandlerCommit: {
-            std::vector<Word> args;
-            args.push_back(a);
-            args.push_back(op.value + 1);
-            co_await t.onCommit(fuzzScratchStoreHandler,
-                                std::move(args));
-            break;
-        }
-        case FuzzOpKind::HandlerViolation: {
-            std::vector<Word> args;
-            args.push_back(a);
-            co_await t.onViolation(fuzzViolationHandler,
-                                   std::move(args));
-            break;
-        }
-        case FuzzOpKind::HandlerAbort: {
-            std::vector<Word> args;
-            args.push_back(a);
-            args.push_back(op.value + 2);
-            co_await t.onAbort(fuzzScratchStoreHandler,
-                               std::move(args));
-            break;
-        }
-        case FuzzOpKind::Abort:
-            co_await t.cpu().xabort(op.value);
-            break;
-        case FuzzOpKind::Nest:
-            co_await runTxNode(t, tid, op.child, depth + 1);
-            break;
-        }
-    }
-}
-
-SimTask
-FuzzInterp::runTxNode(TxThread& t, int tid, int tx_idx, int depth)
-{
-    const FuzzTx& tx = prog.txs[static_cast<size_t>(tx_idx)];
-    TxBody body = [this, tid, tx_idx, depth](TxThread& th) -> SimTask {
-        flog.enterAttempt(tid, depth);
-        co_await execBody(th, tid, tx_idx, depth);
-    };
-    TxOutcome out;
-    try {
-        // Keep each co_await unconditional: a conditional expression
-        // with co_await in both arms is miscompiled by this toolchain.
-        if (tx.open)
-            out = co_await t.atomicOpen(body);
-        else
-            out = co_await t.atomic(body);
-    } catch (...) {
-        // An ancestor-level rollback unwound through this transaction
-        // before its atomic() could return. If this is an open-nested
-        // child whose xcommit already applied memory, the cpu still
-        // holds its serialization slot (the hardware cancel correctly
-        // did not fire for a durable commit): attach it on the way out
-        // so the slot is filled before the ancestor's retry serializes
-        // again. A child that had only validated was cancelled by
-        // rawRollback and leaves no pending slot.
-        const CpuId cpu = t.cpu().id();
-        if (tx.open && depth > 1 && cpu >= 0 &&
-            cpu < static_cast<CpuId>(pending.size()) &&
-            pending[static_cast<size_t>(cpu)] != -1) {
-            if (flog.topIs(tid, depth)) {
-                attachCommit(cpu, ObservedUnit::Kind::OpenCommit,
-                             std::move(flog.takeTop(tid).accesses));
-            } else {
-                setError("open commit unwound with no matching frame");
-            }
-        }
-        throw;
-    }
-
-    if (!out.committed()) {
-        // Voluntary abort: the attempt's frames are dead.
-        flog.discardAtOrBelow(tid, depth);
-        co_return;
-    }
-
-    if (!flog.topIs(tid, depth)) {
-        setError("frame stack out of sync at commit");
-        co_return;
-    }
-    FrameLog::Frame f = flog.takeTop(tid);
-
-    // A unit commits memory iff it is the outermost level, or an
-    // open-nested level under full nesting (flattening subsumes it).
-    const bool memoryCommit =
-        depth == 1 || (tx.open && htmCfg.nesting == NestingMode::Full);
-    if (memoryCommit) {
-        attachCommit(t.cpu().id(),
-                     tx.open && depth > 1 ? ObservedUnit::Kind::OpenCommit
-                                          : ObservedUnit::Kind::TxCommit,
-                     std::move(f.accesses));
+    // An ancestor-level rollback unwound through this transaction
+    // before its atomic() could return. If this is an open-nested
+    // child whose xcommit already applied memory, the cpu still holds
+    // its serialization slot (the hardware cancel correctly did not
+    // fire for a durable commit): attach it on the way out so the slot
+    // is filled before the ancestor's retry serializes again. A child
+    // that had only validated was cancelled by rawRollback and leaves
+    // no pending slot.
+    if (!open || depth == 1 || !hasPending(t.cpu().id()))
+        return;
+    if (flog.topIs(tid, depth)) {
+        commitUnit(t, ObservedUnit::Kind::OpenCommit,
+                   std::move(flog.takeTop(tid).accesses));
     } else {
-        // Closed-nested (or flatten-subsumed) commit: fold the child's
-        // accesses into the enclosing attempt.
-        flog.foldIntoTop(tid, std::move(f.accesses));
+        flog.setError("open commit unwound with no matching frame");
     }
 }
 
+// A naked access is its own serialization unit under strong
+// atomicity, ordered where the simulated access completes.
+
 SimTask
-FuzzInterp::threadBody(TxThread& t, int tid)
+FuzzInterp::nakedLoad(TxThread& t, Addr a)
 {
-    if (tid >= prog.numThreads())
-        co_return;
-    const auto& ops = prog.threads[static_cast<size_t>(tid)];
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const ThreadOp& op = ops[i];
-        switch (op.kind) {
-        case ThreadOpKind::RunTx:
-            co_await runTxNode(t, tid, op.tx, 1);
-            break;
-        case ThreadOpKind::NakedLoad: {
-            const Addr a = layout.addrOf(op.region, op.slot);
-            const Word v = co_await t.ld(a);
-            recordNaked(ObservedUnit::Kind::NakedLoad, t.cpu().id(), a,
-                        v);
-            break;
-        }
-        case ThreadOpKind::NakedStore: {
-            const Addr a = layout.addrOf(op.region, op.slot);
-            co_await t.st(a, op.value);
-            recordNaked(ObservedUnit::Kind::NakedStore, t.cpu().id(), a,
-                        op.value);
-            break;
-        }
-        case ThreadOpKind::Work:
-            co_await t.work(op.value);
-            break;
-        }
-        // Self-test bug injection: a deliberately unrecorded store the
-        // oracle must catch (validates the whole checking pipeline).
-        if (tid == 0 && prog.injectHiddenStoreAfter == static_cast<int>(i))
-            co_await t.st(layout.addrOf(Region::Shared, 0),
-                          0xDEADBEEFull);
-    }
+    const Word v = co_await t.ld(a);
+    rec.units.push_back(
+        nakedUnit(ObservedUnit::Kind::NakedLoad, t.cpu().id(), a, v));
+}
+
+SimTask
+FuzzInterp::nakedStore(TxThread& t, Addr a, Word v)
+{
+    co_await t.st(a, v);
+    rec.units.push_back(
+        nakedUnit(ObservedUnit::Kind::NakedStore, t.cpu().id(), a, v));
 }
 
 ObservedRun
 FuzzInterp::finish(Machine& m, bool hang)
 {
     rec.hang = hang;
-    if (!flog.error().empty())
-        setError(flog.error());
     if (!hang) {
         for (size_t c = 0; c < pending.size(); ++c) {
             if (pending[c] != -1)
-                setError("run ended with an unfilled serialized unit");
+                flog.setError("run ended with an unfilled serialized unit");
         }
         for (const ObservedUnit& u : rec.units) {
             if (!u.dead && !u.filled)
-                setError("serialized unit never filled or cancelled");
+                flog.setError("serialized unit never filled or cancelled");
         }
     }
-    for (int r = 0; r < numRegions; ++r) {
-        const Region reg = static_cast<Region>(r);
-        if (!regionChecked(reg))
-            continue;
-        for (int s = 0; s < layout.slots; ++s) {
-            const Addr a = layout.addrOf(reg, s);
-            const Word v = m.memory().read(a);
-            rec.finalChecked.emplace_back(a, v);
-            if (regionInvariant(reg))
-                rec.finalInvariant.emplace_back(a, v);
-        }
-    }
+    snapshot(m.memory(), rec);
     return std::move(rec);
 }
 
@@ -376,13 +210,12 @@ FuzzInterp::run(Tick max_ticks, StatsRegistry* stats_out)
         // worker pool), not a per-seed oracle verdict.
         throw;
     } catch (const std::exception& e) {
-        setError(std::string("exception escaped simulation: ") +
-                 e.what());
+        flog.setError(std::string("exception escaped simulation: ") +
+                      e.what());
     }
     if (stats_out)
         stats_out->mergeFrom(m.stats());
-    return finish(m, !m.allDone() && rec.error.empty() &&
-                         flog.error().empty());
+    return finish(m, !m.allDone() && flog.error().empty());
 }
 
 } // namespace tmsim

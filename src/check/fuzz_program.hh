@@ -2,9 +2,10 @@
  * @file
  * Fuzz-program representation for the serializability checker: a
  * deterministic, seed-generated parallel program over five disjoint
- * word regions, executed by check/fuzz_interp and validated by
- * check/oracle. Programs serialize to a line-based replay format so a
- * shrunk failing seed can be committed and re-executed bit-for-bit.
+ * word regions, executed by the fuzz walk (check/fuzz_walk) on the
+ * simulator and on the STM, and validated by check/oracle. Programs
+ * serialize to a line-based replay format so a shrunk failing seed
+ * can be committed and re-executed bit-for-bit.
  */
 
 #ifndef TMSIM_CHECK_FUZZ_PROGRAM_HH

@@ -1,11 +1,12 @@
 /**
  * @file
- * Engine-agnostic observation model shared by every execution engine
- * the fuzz corpus runs on (the cycle simulator in check/fuzz_interp,
- * the native STM backend in check/stm_interp): the word layout of the
- * fuzz regions, one checked access, one serialization unit, and the
- * complete ObservedRun the serializability oracle consumes. Nothing
- * here depends on how the engine executes — only on what it observed.
+ * Engine-agnostic observation model the fuzz walk (check/fuzz_walk)
+ * fills on every execution engine it runs on (the cycle simulator
+ * through check/fuzz_interp, the native STM backend through
+ * check/stm_interp): the word layout of the fuzz regions, one checked
+ * access, one serialization unit, and the complete ObservedRun the
+ * serializability oracle consumes. Nothing here depends on how the
+ * engine executes — only on what it observed.
  */
 
 #ifndef TMSIM_CHECK_OBSERVED_HH

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
+#include <utility>
 
-#include "sim/logging.hh"
 #include "sim/stats.hh"
 
 namespace tmsim {
@@ -13,277 +14,160 @@ namespace {
 
 constexpr Addr stmLineBytes = 32; // layout geometry, as the simulator
 
-/** Fixed-work spin standing in for the simulator's exec(n). */
+/** Run a walk coroutine to completion on this host thread: every STM
+ *  forward is ready at once, so start() returns only when it has
+ *  finished; result() rethrows what escaped it. */
 void
-spinWork(std::uint64_t n)
+runInline(SimTask k)
 {
-    volatile std::uint64_t sink = 0;
-    for (std::uint64_t i = 0; i < n; ++i)
-        sink = sink + 1;
+    k.start();
+    k.result();
+}
+
+void
+stmScratchStoreHandler(StmThread& th, const std::vector<Word>& args)
+{
+    th.imstid(args[0], args[1]);
+}
+
+StmVioAction
+stmViolationHandler(StmThread& th, const StmViolationInfo&,
+                    const std::vector<Word>& args)
+{
+    th.imstid(args[0], 1);
+    return StmVioAction::Proceed;
 }
 
 } // namespace
 
 StmFuzzInterp::StmFuzzInterp(const FuzzProgram& program, StmConfig config)
-    : prog(program), cfg(std::move(config))
+    : FuzzWalk(program), cfg(std::move(config)),
+      keyed(static_cast<size_t>(program.numThreads()))
 {
-    layout.slots = prog.slotsPerRegion;
 }
 
-void
-StmFuzzInterp::attach(StmRuntime& rt)
+StmFuzzInterp::Now
+StmFuzzInterp::work(StmThread&, Word n)
 {
-    // Same region geometry as the simulator layout: line-aligned
-    // regions, contiguous word slots. Base addresses differ between
-    // engines, so cross-engine comparison is positional.
-    const Addr regionBytes =
-        static_cast<Addr>(layout.slots) * wordBytes;
-    layout.regionStride =
-        (regionBytes + stmLineBytes - 1) & ~(stmLineBytes - 1);
-    layout.base = rt.allocate(
-        static_cast<Addr>(numRegions) * layout.regionStride,
-        stmLineBytes);
-    for (int r = 0; r < numRegions; ++r) {
-        for (int s = 0; s < layout.slots; ++s) {
-            const Region reg = static_cast<Region>(r);
-            rt.write(layout.addrOf(reg, s),
-                     FuzzLayout::initValue(reg, s));
-        }
-    }
+    // Fixed-work spin standing in for the simulator's exec(n).
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < n; ++i)
+        sink = sink + 1;
+    return {};
 }
 
-void
-StmFuzzInterp::execBody(StmThread& t, int tid, int tx_idx, int depth,
-                        std::vector<KeyedUnit>& out)
+StmFuzzInterp::Now
+StmFuzzInterp::onCommit(StmThread& t, Addr a, Word v)
 {
-    constexpr Addr wordMask = ~(wordBytes - 1);
-    const FuzzTx& tx = prog.txs[static_cast<size_t>(tx_idx)];
-    for (const FuzzOp& op : tx.ops) {
-        const Addr a = layout.addrOf(op.region, op.slot);
-        switch (op.kind) {
-        case FuzzOpKind::TxRead: {
-            const Word v = t.txLoad(a);
-            flog.logAccess(tid, ObservedAccess::Kind::Read, a, v);
-            break;
-        }
-        case FuzzOpKind::TxAdd: {
-            const Word v = t.txLoad(a);
-            t.txStore(a, v + op.value);
-            flog.logAccess(tid, ObservedAccess::Kind::Read, a, v);
-            flog.logAccess(tid, ObservedAccess::Kind::Write, a,
-                           v + op.value);
-            break;
-        }
-        case FuzzOpKind::Release:
-            t.release(a);
-            flog.markReleased(tid, a & wordMask, wordMask);
-            break;
-        case FuzzOpKind::ImmRead:
-            t.imld(a);
-            break;
-        case FuzzOpKind::ImmStore:
-            t.imst(a, op.value);
-            break;
-        case FuzzOpKind::ImmStoreIdem:
-            t.imstid(a, op.value);
-            break;
-        case FuzzOpKind::Exec:
-            spinWork(op.value);
-            break;
-        case FuzzOpKind::HandlerCommit: {
-            std::vector<Word> args;
-            args.push_back(a);
-            args.push_back(op.value + 1);
-            t.onCommit(
-                [](StmThread& th, const std::vector<Word>& hargs) {
-                    th.imstid(hargs[0], hargs[1]);
-                },
-                std::move(args));
-            break;
-        }
-        case FuzzOpKind::HandlerViolation: {
-            std::vector<Word> args;
-            args.push_back(a);
-            t.onViolation(
-                [](StmThread& th, const StmViolationInfo&,
-                   const std::vector<Word>& hargs) {
-                    th.imstid(hargs[0], 1);
-                    return StmVioAction::Proceed;
-                },
-                std::move(args));
-            break;
-        }
-        case FuzzOpKind::HandlerAbort: {
-            std::vector<Word> args;
-            args.push_back(a);
-            args.push_back(op.value + 2);
-            t.onAbort(
-                [](StmThread& th, const std::vector<Word>& hargs) {
-                    th.imstid(hargs[0], hargs[1]);
-                },
-                std::move(args));
-            break;
-        }
-        case FuzzOpKind::Abort:
-            t.xabort(op.value);
-            break;
-        case FuzzOpKind::Nest:
-            runTxNode(t, tid, op.child, depth + 1, out);
-            break;
-        }
-    }
+    t.onCommit(stmScratchStoreHandler, {a, v});
+    return {};
 }
 
-void
-StmFuzzInterp::runTxNode(StmThread& t, int tid, int tx_idx, int depth,
-                         std::vector<KeyedUnit>& out)
+StmFuzzInterp::Now
+StmFuzzInterp::onViolation(StmThread& t, Addr a)
 {
-    const FuzzTx& tx = prog.txs[static_cast<size_t>(tx_idx)];
-    const StmTxBody body = [&](StmThread& th) {
-        flog.enterAttempt(tid, depth);
-        execBody(th, tid, tx_idx, depth, out);
+    t.onViolation(stmViolationHandler, {a});
+    return {};
+}
+
+StmFuzzInterp::Now
+StmFuzzInterp::onAbort(StmThread& t, Addr a, Word v)
+{
+    t.onAbort(stmScratchStoreHandler, {a, v});
+    return {};
+}
+
+StmFuzzInterp::Ready<StmTxOutcome>
+StmFuzzInterp::atomic(StmThread& t, bool open,
+                      const std::function<SimTask(StmThread&)>& body)
+{
+    // Each attempt runs the walk's body inline, so a rollback or abort
+    // it throws reaches this retry driver as from a plain call.
+    const StmTxBody inlineBody = [&body](StmThread& th) {
+        runInline(body(th));
     };
-    const StmTxOutcome o =
-        tx.open ? t.atomicOpen(body) : t.atomic(body);
-
-    if (!o.committed()) {
-        // Voluntary abort: the attempt's frames are dead.
-        flog.discardAtOrBelow(tid, depth);
-        return;
-    }
-
-    if (!flog.topIs(tid, depth)) {
-        flog.setError("frame stack out of sync at commit");
-        return;
-    }
-    FrameLog::Frame f = flog.takeTop(tid);
-
-    // The STM nests fully (no flattening): memory commits happen at
-    // the outermost level and at every open-nested level. Unlike the
-    // simulator there is no serialize-then-cancel window — violations
-    // surface synchronously in the faulting thread — so a returned
-    // commit is always durable and can be attached immediately.
-    const bool memoryCommit = depth == 1 || tx.open;
-    if (memoryCommit) {
-        ObservedUnit u;
-        u.kind = tx.open && depth > 1 ? ObservedUnit::Kind::OpenCommit
-                                      : ObservedUnit::Kind::TxCommit;
-        u.cpu = static_cast<CpuId>(tid);
-        u.filled = true;
-        u.accesses = std::move(f.accesses);
-        out.push_back(KeyedUnit{t.lastCommit(), std::move(u)});
-    } else {
-        flog.foldIntoTop(tid, std::move(f.accesses));
-    }
+    return {open ? t.atomicOpen(inlineBody) : t.atomic(inlineBody)};
 }
 
 void
-StmFuzzInterp::threadBody(StmThread& t, int tid,
-                          std::vector<KeyedUnit>& out)
+StmFuzzInterp::commitUnit(StmThread& t, ObservedUnit::Kind kind,
+                          std::vector<ObservedAccess> accesses)
 {
-    if (tid >= prog.numThreads())
-        return;
-    const auto& ops = prog.threads[static_cast<size_t>(tid)];
-    for (size_t i = 0; i < ops.size(); ++i) {
-        const ThreadOp& op = ops[i];
-        switch (op.kind) {
-        case ThreadOpKind::RunTx:
-            runTxNode(t, tid, op.tx, 1, out);
-            break;
-        case ThreadOpKind::NakedLoad: {
-            const Addr a = layout.addrOf(op.region, op.slot);
-            const auto [v, key] = t.nakedLoad(a);
-            ObservedUnit u;
-            u.kind = ObservedUnit::Kind::NakedLoad;
-            u.cpu = static_cast<CpuId>(tid);
-            u.filled = true;
-            u.addr = a;
-            u.value = v;
-            out.push_back(KeyedUnit{key, std::move(u)});
-            break;
-        }
-        case ThreadOpKind::NakedStore: {
-            const Addr a = layout.addrOf(op.region, op.slot);
-            const StmCommitInfo key = t.nakedStore(a, op.value);
-            ObservedUnit u;
-            u.kind = ObservedUnit::Kind::NakedStore;
-            u.cpu = static_cast<CpuId>(tid);
-            u.filled = true;
-            u.addr = a;
-            u.value = op.value;
-            out.push_back(KeyedUnit{key, std::move(u)});
-            break;
-        }
-        case ThreadOpKind::Work:
-            spinWork(op.value);
-            break;
-        }
-        // Self-test bug injection: a deliberately unrecorded store the
-        // oracle must catch (validates the whole checking pipeline).
-        if (tid == 0 && prog.injectHiddenStoreAfter == static_cast<int>(i))
-            t.nakedStore(layout.addrOf(Region::Shared, 0),
-                         0xDEADBEEFull);
-    }
+    // A returned commit is always durable (no serialize-then-cancel
+    // window), so it is keyed and filled at once.
+    ObservedUnit u;
+    u.kind = kind;
+    u.cpu = static_cast<CpuId>(t.tid());
+    u.filled = true;
+    u.accesses = std::move(accesses);
+    keyed[static_cast<size_t>(t.tid())].push_back(
+        KeyedUnit{t.lastCommit(), std::move(u)});
+}
+
+// A naked access is its own serialization unit, keyed by the snapshot
+// it read (load) or the timestamp it committed at (store).
+
+StmFuzzInterp::Now
+StmFuzzInterp::nakedLoad(StmThread& t, Addr a)
+{
+    const auto [v, key] = t.nakedLoad(a);
+    keyed[static_cast<size_t>(t.tid())].push_back(
+        KeyedUnit{key, nakedUnit(ObservedUnit::Kind::NakedLoad,
+                                 static_cast<CpuId>(t.tid()), a, v)});
+    return {};
+}
+
+StmFuzzInterp::Now
+StmFuzzInterp::nakedStore(StmThread& t, Addr a, Word v)
+{
+    const StmCommitInfo key = t.nakedStore(a, v);
+    keyed[static_cast<size_t>(t.tid())].push_back(
+        KeyedUnit{key, nakedUnit(ObservedUnit::Kind::NakedStore,
+                                 static_cast<CpuId>(t.tid()), a, v)});
+    return {};
 }
 
 ObservedRun
 StmFuzzInterp::run(StatsRegistry* stats_out)
 {
     StmRuntime rt(cfg);
-    attach(rt);
+    // Same region geometry as the simulator layout. Base addresses
+    // differ between engines, so cross-engine comparison is positional.
+    placeRegions(rt, stmLineBytes);
     rt.armWatchdog();
 
     const int n = prog.numThreads();
-    flog.resize(static_cast<size_t>(n));
-    std::vector<std::vector<KeyedUnit>> perThread(
-        static_cast<size_t>(n));
-    std::vector<std::string> errs(static_cast<size_t>(n));
     std::atomic<bool> hung{false};
-
     std::vector<std::thread> hosts;
     hosts.reserve(static_cast<size_t>(n));
     for (int tid = 0; tid < n; ++tid) {
         hosts.emplace_back([&, tid] {
             StmThread t(rt, tid);
             try {
-                threadBody(t, tid, perThread[static_cast<size_t>(tid)]);
-            } catch (const StmHangError& h) {
+                runInline(threadBody(t, tid));
+            } catch (const StmHangError&) {
                 hung.store(true, std::memory_order_relaxed);
             } catch (const StmRollback&) {
-                errs[static_cast<size_t>(tid)] =
-                    "rollback escaped the retry driver";
+                flog.setError("rollback escaped the retry driver");
             } catch (const StmAbortSignal&) {
-                errs[static_cast<size_t>(tid)] =
-                    "abort signal escaped the retry driver";
+                flog.setError("abort signal escaped the retry driver");
             } catch (const std::exception& e) {
-                errs[static_cast<size_t>(tid)] =
+                flog.setError(
                     std::string("exception escaped stm thread: ") +
-                    e.what();
+                    e.what());
             } catch (...) {
-                errs[static_cast<size_t>(tid)] =
-                    "unknown exception escaped stm thread";
+                flog.setError("unknown exception escaped stm thread");
             }
         });
     }
     for (std::thread& h : hosts)
         h.join();
 
-    ObservedRun rec;
-    rec.layout = layout;
-    for (const std::string& e : errs) {
-        if (!e.empty() && rec.error.empty())
-            rec.error = e;
-    }
-    if (rec.error.empty() && !flog.error().empty())
-        rec.error = flog.error();
-    rec.hang = hung.load(std::memory_order_relaxed) &&
-               rec.error.empty();
-
     // Global serialization order: writers at their commit timestamp
     // (phase 0) precede the read-only units that observed state at
     // that timestamp (phase 1); seq breaks the remaining ties.
     std::vector<KeyedUnit> all;
-    for (auto& pt : perThread) {
+    for (auto& pt : keyed) {
         for (auto& ku : pt)
             all.push_back(std::move(ku));
     }
@@ -295,23 +179,13 @@ StmFuzzInterp::run(StatsRegistry* stats_out)
                              return x.key.phase < y.key.phase;
                          return x.key.seq < y.key.seq;
                      });
+    ObservedRun rec;
     rec.units.reserve(all.size());
     for (auto& ku : all)
         rec.units.push_back(std::move(ku.unit));
 
-    for (int r = 0; r < numRegions; ++r) {
-        const Region reg = static_cast<Region>(r);
-        if (!regionChecked(reg))
-            continue;
-        for (int s = 0; s < layout.slots; ++s) {
-            const Addr a = layout.addrOf(reg, s);
-            const Word v = rt.read(a);
-            rec.finalChecked.emplace_back(a, v);
-            if (regionInvariant(reg))
-                rec.finalInvariant.emplace_back(a, v);
-        }
-    }
-
+    snapshot(rt, rec);
+    rec.hang = hung.load(std::memory_order_relaxed) && rec.error.empty();
     if (stats_out)
         rt.mergeStats(*stats_out);
     return rec;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Fuzz-program interpreter for the native STM backend: executes the
- * same FuzzProgram that check/fuzz_interp runs on the simulator, but
- * on real host threads over an StmRuntime, and reconstructs a global
+ * STM adapter of the fuzz walk (check/fuzz_walk): executes the same
+ * FuzzProgram that check/fuzz_interp runs on the simulator, but on
+ * real host threads over an StmRuntime, and reconstructs a global
  * serialization order from each unit's commit key (stm/stm_thread's
  * StmCommitInfo). The resulting ObservedRun feeds the same
  * serializability oracle (check/oracle) — the STM is scheduled
@@ -14,11 +14,12 @@
 #ifndef TMSIM_CHECK_STM_INTERP_HH
 #define TMSIM_CHECK_STM_INTERP_HH
 
+#include <coroutine>
+#include <functional>
+#include <utility>
 #include <vector>
 
-#include "check/frame_log.hh"
-#include "check/fuzz_program.hh"
-#include "check/observed.hh"
+#include "check/fuzz_walk.hh"
 #include "stm/stm_thread.hh"
 
 namespace tmsim {
@@ -28,9 +29,10 @@ class StatsRegistry;
 /**
  * Executes one FuzzProgram on the STM backend. Single-shot: construct,
  * call run() once. Thread t of the program maps to one host thread
- * owning one StmThread.
+ * owning one StmThread. Every op completes before its forward returns,
+ * so each walk coroutine runs inline and never suspends.
  */
-class StmFuzzInterp
+class StmFuzzInterp : public FuzzWalk<StmFuzzInterp, StmThread>
 {
   public:
     explicit StmFuzzInterp(const FuzzProgram& program,
@@ -41,23 +43,64 @@ class StmFuzzInterp
     ObservedRun run(StatsRegistry* stats_out = nullptr);
 
   private:
+    friend class FuzzWalk<StmFuzzInterp, StmThread>;
+
+    /** Awaitable for an op that completed before its forward
+     *  returned: co_await never suspends and yields @p value. */
+    template <typename T>
+    struct Ready
+    {
+        T value;
+
+        bool await_ready() const noexcept { return true; }
+        void await_suspend(std::coroutine_handle<>) const noexcept {}
+        T await_resume() { return std::move(value); }
+    };
+    using Now = std::suspend_never;
+
     struct KeyedUnit
     {
         StmCommitInfo key;
         ObservedUnit unit;
     };
 
-    void attach(StmRuntime& rt);
-    void threadBody(StmThread& t, int tid, std::vector<KeyedUnit>& out);
-    void runTxNode(StmThread& t, int tid, int tx_idx, int depth,
-                   std::vector<KeyedUnit>& out);
-    void execBody(StmThread& t, int tid, int tx_idx, int depth,
-                  std::vector<KeyedUnit>& out);
+    // --- ISA forwards: each op has completed when they return ---
+    Ready<Word> ld(StmThread& t, Addr a) { return {t.txLoad(a)}; }
+    Now st(StmThread& t, Addr a, Word v) { t.txStore(a, v); return {}; }
+    Now release(StmThread& t, Addr a) { t.release(a); return {}; }
+    Ready<Word> imld(StmThread& t, Addr a) { return {t.imld(a)}; }
+    Now imst(StmThread& t, Addr a, Word v) { t.imst(a, v); return {}; }
+    Now imstid(StmThread& t, Addr a, Word v) { t.imstid(a, v); return {}; }
+    Now work(StmThread& t, Word n);
+    Now xabort(StmThread& t, Word code) { t.xabort(code); return {}; }
+    Now onCommit(StmThread& t, Addr a, Word v);
+    Now onViolation(StmThread& t, Addr a);
+    Now onAbort(StmThread& t, Addr a, Word v);
+    Ready<StmTxOutcome> atomic(StmThread& t, bool open,
+                               const std::function<SimTask(StmThread&)>&
+                                   body);
+    Now hiddenStore(StmThread& t, Addr a, Word v)
+    {
+        t.nakedStore(a, v);
+        return {};
+    }
 
-    const FuzzProgram& prog;
+    // --- what the STM decides ---
+    Now nakedLoad(StmThread& t, Addr a);
+    Now nakedStore(StmThread& t, Addr a, Word v);
+    void commitUnit(StmThread& t, ObservedUnit::Kind kind,
+                    std::vector<ObservedAccess> accesses);
+    /** The STM nests fully: every open-nested level commits memory. */
+    bool openCommitsMemory() const { return true; }
+    /** Nothing to attach: an open-nested commit is recorded as soon
+     *  as its atomicOpen() returns, and no violation can reach the
+     *  thread between its xcommit and that return. */
+    void unwound(StmThread&, int, bool, int) {}
+    Addr trackUnitMask() const { return ~(wordBytes - 1); }
+
     StmConfig cfg;
-    FuzzLayout layout;
-    FrameLog flog;
+    /** Per-tid units in program order, each with its commit key. */
+    std::vector<std::vector<KeyedUnit>> keyed;
 };
 
 } // namespace tmsim

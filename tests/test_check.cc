@@ -2,8 +2,9 @@
  * @file
  * Tests of the check/ layer: deterministic generation, replay-file
  * round-trips, the serializability oracle (clean runs pass, tampered
- * runs fail), the commit-order hooks, and the injected-bug shrink +
- * replay pipeline end to end.
+ * runs fail), the commit-order hooks, the injected-bug shrink +
+ * replay pipeline end to end, and the fuzz walk's two adapters
+ * recording the same units for one program.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "check/fuzz_interp.hh"
 #include "check/fuzz_program.hh"
 #include "check/oracle.hh"
+#include "check/stm_interp.hh"
 #include "core/machine.hh"
 #include "runtime/tx_thread.hh"
 
@@ -215,6 +217,154 @@ TEST(FuzzOracle, HiddenStoreIsDetectedShrunkAndReplayable)
     EXPECT_TRUE(rf.failed);
     EXPECT_EQ(rf.config, sf.config);
     EXPECT_EQ(rf.message, sf.message);
+}
+
+namespace {
+
+FuzzOp
+txOp(FuzzOpKind kind, Region region = Region::Scratch, int slot = 0,
+     Word value = 0)
+{
+    FuzzOp op;
+    op.kind = kind;
+    op.region = region;
+    op.slot = slot;
+    op.value = value;
+    return op;
+}
+
+FuzzOp
+nestOp(int child)
+{
+    FuzzOp op;
+    op.kind = FuzzOpKind::Nest;
+    op.child = child;
+    return op;
+}
+
+ThreadOp
+threadOp(ThreadOpKind kind, Region region = Region::Naked, int slot = 0,
+         Word value = 0, int tx = -1)
+{
+    ThreadOp op;
+    op.kind = kind;
+    op.region = region;
+    op.slot = slot;
+    op.value = value;
+    op.tx = tx;
+    return op;
+}
+
+/**
+ * One thread, word-granular, every FuzzOpKind and ThreadOpKind: an
+ * outer transaction with a closed child, an open child and a closed
+ * child that aborts voluntarily. The nested abort is why only
+ * full-nesting configs run it (flattening would abort the parent).
+ * The STM keys a naked load by the version of the word it read, so
+ * the naked load after the first reads a word the unit before it
+ * wrote; a never-written word could sort it before earlier commits.
+ */
+FuzzProgram
+everyOpProgram()
+{
+    FuzzProgram p;
+    p.slotsPerRegion = 4;
+    p.wordGranularity = true;
+    FuzzTx outer;
+    outer.ops = {
+        txOp(FuzzOpKind::TxAdd, Region::Shared, 0, 3),
+        txOp(FuzzOpKind::TxRead, Region::Shared, 1),
+        txOp(FuzzOpKind::Release, Region::Shared, 1),
+        txOp(FuzzOpKind::ImmRead, Region::Scratch, 0),
+        txOp(FuzzOpKind::ImmStore, Region::Scratch, 1, 7),
+        txOp(FuzzOpKind::ImmStoreIdem, Region::Scratch, 2, 9),
+        txOp(FuzzOpKind::Exec, Region::Scratch, 0, 5),
+        txOp(FuzzOpKind::HandlerCommit, Region::Scratch, 3, 1),
+        txOp(FuzzOpKind::HandlerViolation, Region::Scratch, 0),
+        txOp(FuzzOpKind::HandlerAbort, Region::Scratch, 1, 1),
+        nestOp(1),
+        nestOp(2),
+        nestOp(3),
+        txOp(FuzzOpKind::TxAdd, Region::Private, 0, 4),
+    };
+    FuzzTx closedChild;
+    closedChild.ops = {
+        txOp(FuzzOpKind::TxAdd, Region::Shared, 2, 5),
+        txOp(FuzzOpKind::TxRead, Region::Naked, 0),
+    };
+    FuzzTx openChild;
+    openChild.open = true;
+    openChild.ops = {
+        txOp(FuzzOpKind::TxAdd, Region::Open, 0, 6),
+        txOp(FuzzOpKind::TxRead, Region::Open, 1),
+    };
+    FuzzTx abortingChild;
+    abortingChild.ops = {
+        txOp(FuzzOpKind::TxAdd, Region::Shared, 3, 8),
+        txOp(FuzzOpKind::Abort, Region::Scratch, 0, 1),
+    };
+    p.txs = {outer, closedChild, openChild, abortingChild};
+    p.threads = {{
+        threadOp(ThreadOpKind::NakedLoad, Region::Naked, 1),
+        threadOp(ThreadOpKind::RunTx, Region::Naked, 0, 0, 0),
+        threadOp(ThreadOpKind::Work, Region::Naked, 0, 10),
+        threadOp(ThreadOpKind::NakedStore, Region::Private, 0, 42),
+        threadOp(ThreadOpKind::NakedLoad, Region::Private, 0),
+    }};
+    return p;
+}
+
+} // namespace
+
+TEST(FuzzWalk, EveryOpRecordsTheSameUnitsOnBothEngines)
+{
+    const FuzzProgram p = everyOpProgram();
+    StmFuzzInterp stm(p);
+    const ObservedRun want = stm.run();
+    const OracleVerdict sv = checkRun(p, want);
+    ASSERT_TRUE(sv.ok) << "stm: " << sv.message;
+    // naked load, open commit, outer commit, naked store, naked load
+    ASSERT_EQ(want.units.size(), 5u);
+
+    int fullConfigs = 0;
+    for (const FuzzConfig& cfg : fuzzConfigs(p)) {
+        if (cfg.htm.nesting != NestingMode::Full)
+            continue;
+        ++fullConfigs;
+        SCOPED_TRACE(cfg.name);
+        FuzzInterp interp(p, cfg.htm);
+        const ObservedRun got = interp.run();
+        const OracleVerdict v = checkRun(p, got);
+        ASSERT_TRUE(v.ok) << v.message;
+
+        ASSERT_EQ(got.units.size(), want.units.size());
+        for (size_t i = 0; i < want.units.size(); ++i) {
+            SCOPED_TRACE("unit " + std::to_string(i));
+            const ObservedUnit& g = got.units[i];
+            const ObservedUnit& w = want.units[i];
+            EXPECT_EQ(g.kind, w.kind);
+            EXPECT_EQ(g.dead, w.dead);
+            EXPECT_EQ(g.filled, w.filled);
+            EXPECT_EQ(g.value, w.value);
+            if (g.kind == ObservedUnit::Kind::NakedLoad ||
+                g.kind == ObservedUnit::Kind::NakedStore) {
+                EXPECT_EQ(g.addr - got.layout.base,
+                          w.addr - want.layout.base);
+            }
+            ASSERT_EQ(g.accesses.size(), w.accesses.size());
+            for (size_t k = 0; k < w.accesses.size(); ++k) {
+                EXPECT_EQ(g.accesses[k].kind, w.accesses[k].kind);
+                EXPECT_EQ(g.accesses[k].value, w.accesses[k].value);
+                EXPECT_EQ(g.accesses[k].addr - got.layout.base,
+                          w.accesses[k].addr - want.layout.base);
+            }
+        }
+        ASSERT_EQ(got.finalInvariant.size(), want.finalInvariant.size());
+        for (size_t i = 0; i < want.finalInvariant.size(); ++i)
+            EXPECT_EQ(got.finalInvariant[i].second,
+                      want.finalInvariant[i].second);
+    }
+    EXPECT_EQ(fullConfigs, 3);
 }
 
 TEST(FuzzDriver, ConfigsCoverTheFourDesignPoints)

@@ -278,6 +278,7 @@ main(int argc, char** argv)
     // for cores and add scheduling noise to the diff.
     constexpr int maxReported = 5;
     int failures = 0;
+    std::uint64_t diffed = 0;
     StatsRegistry merged;
 
     for (std::uint64_t i = 0; i < seeds; ++i) {
@@ -287,6 +288,7 @@ main(int argc, char** argv)
         const DiffFailure fail =
             diffProgram(p, maxTicks, repeat, scfg, &stats);
         merged.mergeFrom(stats);
+        ++diffed;
         if (!fail.failed) {
             if ((i + 1) % 100 == 0) {
                 std::printf("... %llu/%llu seeds clean\n",
@@ -311,7 +313,7 @@ main(int argc, char** argv)
     }
 
     if (!jsonStatsFile.empty()) {
-        merged.counter("diff.seeds").set(seeds);
+        merged.counter("diff.seeds").set(diffed);
         merged.counter("diff.seeds_failing")
             .set(static_cast<std::uint64_t>(failures));
         merged.counter("diff.stm_runs_per_seed")
