@@ -1,6 +1,10 @@
 #include "mem/cache.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <bit>
+#include <new>
 
 #include "sim/logging.hh"
 
@@ -21,24 +25,24 @@ Cache::Cache(std::string name_, const CacheGeometry& geom_,
     geom.validate(name.c_str());
     if (maxLevels < 1 || maxLevels > 30)
         fatal("%s: max nesting levels must be in [1, 30]", name.c_str());
-    sets.assign(geom.numSets(),
-                std::vector<Line>(static_cast<size_t>(geom.assoc)));
-    std::uint32_t flat = 0;
-    for (auto& set : sets)
-        for (auto& line : set)
-            line.self = flat++;
+    ways = static_cast<size_t>(geom.assoc);
+    lineShift = static_cast<unsigned>(std::countr_zero(geom.lineBytes));
+    setMask = static_cast<Addr>(geom.numSets()) - 1;
+    // Anonymous pages read as zero until first written, and an all-zero
+    // Line is an empty way. Default-initialising the trivial Lines
+    // starts their lifetimes without writing a byte.
+    const size_t count = static_cast<size_t>(geom.numSets()) * ways;
+    mappedBytes = count * sizeof(Line);
+    void* mem = mmap(nullptr, mappedBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED)
+        fatal("%s: cannot map %zu bytes of tags", name.c_str(), mappedBytes);
+    lines = new (mem) Line[count];
 }
 
-std::vector<Cache::Line>&
-Cache::setFor(Addr line_addr)
+Cache::~Cache()
 {
-    return sets[static_cast<size_t>(geom.setIndex(line_addr))];
-}
-
-const std::vector<Cache::Line>&
-Cache::setFor(Addr line_addr) const
-{
-    return sets[static_cast<size_t>(geom.setIndex(line_addr))];
+    munmap(lines, mappedBytes);
 }
 
 Cache::Line*
@@ -84,11 +88,11 @@ Cache::lookup(Addr line_addr)
 Cache::Line*
 Cache::allocate(Addr line_addr, EvictInfo* evict)
 {
-    auto& ways = setFor(line_addr);
+    auto set = setFor(line_addr);
     Line* victim = nullptr;
     // Prefer an invalid way, then the LRU non-transactional line, then
     // the LRU line overall (which forces a transactional overflow).
-    for (auto& line : ways) {
+    for (auto& line : set) {
         if (!line.valid) {
             victim = &line;
             break;
@@ -97,7 +101,7 @@ Cache::allocate(Addr line_addr, EvictInfo* evict)
     if (!victim) {
         Line* lruPlain = nullptr;
         Line* lruAny = nullptr;
-        for (auto& line : ways) {
+        for (auto& line : set) {
             if (!lruAny || line.lru < lruAny->lru)
                 lruAny = &line;
             if (!line.isTx() && (!lruPlain || line.lru < lruPlain->lru))
@@ -158,7 +162,8 @@ Cache::markRead(Addr line_addr, int level)
 {
     if (level < 1)
         panic("markRead at non-transactional level %d", level);
-    int eff = std::min(level, maxLevels);
+    const auto eff =
+        static_cast<std::int16_t>(std::min(level, maxLevels));
 
     if (scheme == NestScheme::MultiTracking) {
         Line* line = findLine(line_addr);
@@ -194,7 +199,8 @@ Cache::markWrite(Addr line_addr, int level)
 {
     if (level < 1)
         panic("markWrite at non-transactional level %d", level);
-    int eff = std::min(level, maxLevels);
+    const auto eff =
+        static_cast<std::int16_t>(std::min(level, maxLevels));
 
     if (scheme == NestScheme::MultiTracking) {
         Line* line = findLine(line_addr);
@@ -280,7 +286,7 @@ Cache::clearLevel(int level)
 {
     int eff = std::min(level, maxLevels);
     for (size_t i = 0; i < txLines.size();) {
-        Line& line = lineAt(txLines[i]);
+        Line& line = lines[txLines[i]];
         if (scheme == NestScheme::MultiTracking) {
             line.readMask &= ~levelBit(eff);
             line.writeMask &= ~levelBit(eff);
@@ -298,7 +304,7 @@ Cache::clearLevel(int level)
                 syncTx(line);
             }
         }
-        if (line.txSlot == static_cast<std::int32_t>(i))
+        if (line.txSlot == i + 1)
             ++i;
     }
 }
@@ -311,7 +317,7 @@ Cache::mergeLevelDown(int level)
     std::uint32_t below = eff >= 2 ? levelBit(eff - 1) : 0;
 
     for (size_t i = 0; i < txLines.size();) {
-        Line& line = lineAt(txLines[i]);
+        Line& line = lines[txLines[i]];
         if (scheme == NestScheme::MultiTracking) {
             if (line.readMask & bit) {
                 line.readMask &= ~bit;
@@ -325,7 +331,7 @@ Cache::mergeLevelDown(int level)
         } else if (line.nl == eff) {
             // Retag to the parent level; merge into an existing
             // parent version if one occupies the same set.
-            auto& set = setFor(line.lineAddr);
+            auto set = setFor(line.lineAddr);
             Line* parent = nullptr;
             for (auto& other : set) {
                 if (&other != &line && other.valid &&
@@ -341,7 +347,7 @@ Cache::mergeLevelDown(int level)
                 syncTx(*parent);
                 wipe(line);
             } else {
-                line.nl = eff - 1;
+                --line.nl;
                 if (line.nl == 0) {
                     line.readMask = 0;
                     line.writeMask = 0;
@@ -349,7 +355,7 @@ Cache::mergeLevelDown(int level)
                 syncTx(line);
             }
         }
-        if (line.txSlot == static_cast<std::int32_t>(i))
+        if (line.txSlot == i + 1)
             ++i;
     }
 }
@@ -359,7 +365,7 @@ Cache::commitOpenLevel(int level)
 {
     int eff = std::min(level, maxLevels);
     for (size_t i = 0; i < txLines.size();) {
-        Line& line = lineAt(txLines[i]);
+        Line& line = lines[txLines[i]];
         if (scheme == NestScheme::MultiTracking) {
             line.readMask &= ~levelBit(eff);
             line.writeMask &= ~levelBit(eff);
@@ -367,7 +373,7 @@ Cache::commitOpenLevel(int level)
         } else if (line.nl == eff) {
             // Keep the (now committed) data as a plain line unless
             // a plain copy already exists in the set.
-            auto& set = setFor(line.lineAddr);
+            auto set = setFor(line.lineAddr);
             Line* plain = nullptr;
             for (auto& other : set) {
                 if (&other != &line && other.valid &&
@@ -385,7 +391,7 @@ Cache::commitOpenLevel(int level)
                 syncTx(line);
             }
         }
-        if (line.txSlot == static_cast<std::int32_t>(i))
+        if (line.txSlot == i + 1)
             ++i;
     }
 }
@@ -394,7 +400,7 @@ void
 Cache::clearAllTx()
 {
     for (size_t i = 0; i < txLines.size();) {
-        Line& line = lineAt(txLines[i]);
+        Line& line = lines[txLines[i]];
         if (scheme == NestScheme::MultiTracking) {
             line.readMask = 0;
             line.writeMask = 0;
@@ -405,7 +411,7 @@ Cache::clearAllTx()
         // else: an associativity-scheme plain (nl == 0) line carrying
         // masks from a level-1 merge; it keeps its annotations, same
         // as the whole-cache scan did.
-        if (line.txSlot == static_cast<std::int32_t>(i))
+        if (line.txSlot == i + 1)
             ++i;
     }
 }

@@ -25,7 +25,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mem/cache_geometry.hh"
@@ -55,6 +57,10 @@ class Cache
   public:
     Cache(std::string name, const CacheGeometry& geom, NestScheme scheme,
           int max_levels, StatsRegistry& stats);
+    ~Cache();
+
+    Cache(const Cache&) = delete;
+    Cache& operator=(const Cache&) = delete;
 
     const CacheGeometry& geometry() const { return geom; }
 
@@ -112,21 +118,24 @@ class Cache
     int versionCount(Addr line_addr) const;
 
   private:
+    /**
+     * One way of one set. All-zero bytes are an empty way, so the tag
+     * array starts as untouched zero pages: an invalid way's lineAddr
+     * is 0 (only valid tells it from line 0), and txSlot 0 means "not
+     * in txLines".
+     */
     struct Line
     {
-        bool valid = false;
-        Addr lineAddr = invalidAddr;
-        std::uint64_t lru = 0;
+        Addr lineAddr;
+        std::uint64_t lru;
         // MultiTracking: bit (level-1) set in each mask.
-        std::uint32_t readMask = 0;
-        std::uint32_t writeMask = 0;
+        std::uint32_t readMask;
+        std::uint32_t writeMask;
+        // Position in txLines plus one while annotated, 0 otherwise.
+        std::uint32_t txSlot;
         // Associativity: nesting level of this version (0 = plain data).
-        int nl = 0;
-        // Flat position of this way (set * assoc + way); fixed at
-        // construction so the tx index can address lines by number.
-        std::uint32_t self = 0;
-        // Position in txLines while annotated, -1 otherwise.
-        std::int32_t txSlot = -1;
+        std::int16_t nl;
+        bool valid;
 
         bool isTx() const { return readMask != 0 || writeMask != 0; }
         bool holdsTxMeta() const
@@ -134,22 +143,24 @@ class Cache
             return valid && (isTx() || nl != 0);
         }
     };
+    static_assert(sizeof(Line) == 32);
+    static_assert(std::is_trivial_v<Line>,
+                  "building a Cache must not write its Lines");
 
-    std::vector<Line>& setFor(Addr line_addr);
-    const std::vector<Line>& setFor(Addr line_addr) const;
+    std::span<Line>
+    setFor(Addr line_addr)
+    {
+        return {lines + ((line_addr >> lineShift) & setMask) * ways, ways};
+    }
+    std::span<const Line>
+    setFor(Addr line_addr) const
+    {
+        return const_cast<Cache*>(this)->setFor(line_addr);
+    }
     Line* findLine(Addr line_addr);
     const Line* findLine(Addr line_addr) const;
-    /** Associativity scheme: the version visible to @p level. */
-    Line* findVersionFor(Addr line_addr, int level);
     Line* allocate(Addr line_addr, EvictInfo* evict);
     void touch(Line& line) { line.lru = ++lruClock; }
-
-    Line&
-    lineAt(std::uint32_t flat)
-    {
-        return sets[flat / static_cast<std::uint32_t>(geom.assoc)]
-                   [flat % static_cast<std::uint32_t>(geom.assoc)];
-    }
 
     /** Reconcile @p line's membership in the tx-line index with its
      *  current annotation state. Call after any mutation of valid,
@@ -158,24 +169,24 @@ class Cache
     syncTx(Line& line)
     {
         const bool want = line.holdsTxMeta();
-        if (want && line.txSlot < 0) {
-            line.txSlot = static_cast<std::int32_t>(txLines.size());
-            txLines.push_back(line.self);
-        } else if (!want && line.txSlot >= 0) {
+        if (want && line.txSlot == 0) {
+            txLines.push_back(static_cast<std::uint32_t>(&line - lines));
+            line.txSlot = static_cast<std::uint32_t>(txLines.size());
+        } else if (!want && line.txSlot != 0) {
             const std::uint32_t moved = txLines.back();
-            txLines[static_cast<size_t>(line.txSlot)] = moved;
-            lineAt(moved).txSlot = line.txSlot;
+            txLines[line.txSlot - 1] = moved;
+            lines[moved].txSlot = line.txSlot;
             txLines.pop_back();
-            line.txSlot = -1;
+            line.txSlot = 0;
         }
     }
 
-    /** Invalidate @p line in place, keeping self/txSlot bookkeeping. */
+    /** Invalidate @p line in place, keeping its txSlot bookkeeping. */
     void
     wipe(Line& line)
     {
         line.valid = false;
-        line.lineAddr = invalidAddr;
+        line.lineAddr = 0;
         line.lru = 0;
         line.readMask = 0;
         line.writeMask = 0;
@@ -187,7 +198,14 @@ class Cache
     CacheGeometry geom;
     NestScheme scheme;
     int maxLevels;
-    std::vector<std::vector<Line>> sets;
+    /** numSets() * assoc ways, set-major, in an anonymous mapping of
+     *  zero pages: building a cache touches none of it. */
+    Line* lines = nullptr;
+    size_t ways = 0;
+    size_t mappedBytes = 0;
+    /** Set of a line address: (lineAddr >> lineShift) & setMask. */
+    unsigned lineShift = 0;
+    Addr setMask = 0;
     /** Flat indices of every line with holdsTxMeta(); lets commit and
      *  rollback touch only annotated lines instead of the whole cache. */
     std::vector<std::uint32_t> txLines;

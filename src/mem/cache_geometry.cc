@@ -10,12 +10,6 @@ CacheGeometry::numSets() const
     return static_cast<int>(sizeBytes / (lineBytes * assoc));
 }
 
-int
-CacheGeometry::setIndex(Addr addr) const
-{
-    return static_cast<int>((addr / lineBytes) % numSets());
-}
-
 void
 CacheGeometry::validate(const char* name) const
 {

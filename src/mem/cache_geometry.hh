@@ -24,9 +24,6 @@ struct CacheGeometry
     /** Line-aligned base of @p addr. */
     Addr lineAddr(Addr addr) const { return addr & ~(lineBytes - 1); }
 
-    /** Set index for @p addr. */
-    int setIndex(Addr addr) const;
-
     /** Words per cache line. */
     int wordsPerLine() const { return static_cast<int>(lineBytes / 8); }
 

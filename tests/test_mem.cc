@@ -2,14 +2,19 @@
  * @file
  * Memory-system unit tests: backing store, cache geometry, cache
  * presence/LRU/eviction, the transactional line annotations of both
- * nesting schemes, bus arbitration/occupancy, and FIFO resources.
+ * nesting schemes, the untouched tag memory of a fresh cache, bus
+ * arbitration/occupancy, and FIFO resources.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
 #include <unordered_map>
+#include <vector>
 
+#include "core/machine.hh"
 #include "mem/backing_store.hh"
 #include "mem/bus.hh"
 #include "mem/cache.hh"
@@ -342,6 +347,110 @@ TEST(Cache, InvalidateNonSpecLeavesTxLines)
     c.invalidateNonSpec(0x140);
     EXPECT_FALSE(c.contains(0x100));
     EXPECT_TRUE(c.contains(0x140)); // speculative copies are immune
+}
+
+namespace {
+
+/** What a cache reports about one line between operations. */
+struct Seen
+{
+    bool contains;
+    bool txMeta;
+    bool written;
+    int versions;
+    std::uint64_t txLines;
+
+    bool operator==(const Seen&) const = default;
+};
+
+/** Line @p a's observable state through fill, a transactional write,
+ *  rollback, refill and a commit snoop, in a fresh cache. */
+std::vector<Seen>
+lifeOf(NestScheme scheme, Addr a)
+{
+    StatsRegistry stats;
+    Cache c = makeCache(scheme, stats);
+    std::vector<Seen> seen;
+    auto observe = [&] {
+        seen.push_back({c.contains(a), c.hasTxMeta(a), c.isWritten(a, 1),
+                        c.versionCount(a), c.txLineCount()});
+    };
+    c.fill(a);
+    observe();
+    c.markWrite(a, 1);
+    observe();
+    c.clearLevel(1);
+    observe();
+    c.fill(a);
+    c.invalidateNonSpec(a);
+    observe();
+    return seen;
+}
+
+} // namespace
+
+TEST(Cache, FreshWaysAreEmptyAndLineZeroIsOrdinary)
+{
+    // An empty way is all-zero bytes, so its line address reads 0, the
+    // same as the legal line 0: only the valid bit tells them apart.
+    for (NestScheme scheme :
+         {NestScheme::MultiTracking, NestScheme::Associativity}) {
+        SCOPED_TRACE(scheme == NestScheme::MultiTracking ? "MultiTracking"
+                                                         : "Associativity");
+        StatsRegistry stats;
+        Cache fresh = makeCache(scheme, stats);
+        std::vector<Addr> probes = {1ull << 20, 1ull << 40, ~Addr{31}};
+        for (Addr a = 0; a < 64 * 32; a += 32)
+            probes.push_back(a);
+        for (Addr a : probes) {
+            EXPECT_FALSE(fresh.contains(a)) << a;
+            EXPECT_FALSE(fresh.hasTxMeta(a)) << a;
+            EXPECT_EQ(fresh.versionCount(a), 0) << a;
+        }
+        EXPECT_EQ(fresh.txLineCount(), 0u);
+
+        const std::vector<Seen> zero = lifeOf(scheme, 0);
+        EXPECT_EQ(zero, lifeOf(scheme, 0x100));
+        ASSERT_EQ(zero.size(), 4u);
+        // Filled: one copy, unannotated, none of the empty ways counted.
+        EXPECT_EQ(zero[0], (Seen{true, false, false, 1, 0}));
+        // Written at level 1: the same line, now indexed.
+        EXPECT_EQ(zero[1], (Seen{true, true, true, 1, 1}));
+        // Rolled back: multi-tracking keeps the data, the associativity
+        // scheme drops the dirty version; no annotation is left.
+        EXPECT_EQ(zero[2].contains, scheme == NestScheme::MultiTracking);
+        EXPECT_FALSE(zero[2].txMeta);
+        EXPECT_EQ(zero[2].txLines, 0u);
+        // Refilled, then snooped away.
+        EXPECT_EQ(zero[3], (Seen{false, false, false, 0, 0}));
+    }
+}
+
+namespace {
+
+/** Resident memory of this process, from /proc/self/statm. */
+long
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    long size = 0;
+    long resident = 0;
+    statm >> size >> resident;
+    return resident * sysconf(_SC_PAGESIZE);
+}
+
+} // namespace
+
+TEST(Cache, BuildingA64CpuMachineTouchesNoTagMemory)
+{
+    // 64 CPUs hold 64 x 17408 ways of L1/L2 tags. Building the Machine
+    // must leave all of those pages untouched.
+    MachineConfig cfg;
+    cfg.numCpus = 64;
+    const long before = residentBytes();
+    Machine m(cfg);
+    const long grown = residentBytes() - before;
+    EXPECT_LT(grown, 4l << 20) << "grew by " << grown / 1024 << " KiB";
 }
 
 TEST(FifoResource, GrantsInOrder)
