@@ -13,10 +13,12 @@
  * The walk is a coroutine on every engine. The simulator's forwards
  * return the TxThread/Cpu awaitables themselves, so a simulated
  * thread suspends inside the walk exactly as it would in hand-written
- * workload code. An engine whose ops complete on the calling host
- * thread (the STM) returns awaitables that never suspend and runs each
- * walk coroutine to completion inline, so the exceptions its retry
- * driver relies on unwind through the walk as through ordinary calls.
+ * workload code, and a rollback jumps past the walk's frames to the
+ * runtime's retry loop. An engine whose ops complete on the calling
+ * host thread (the STM) returns awaitables that never suspend and runs
+ * each walk coroutine to completion inline, so the exceptions its
+ * retry driver relies on unwind through the walk as through ordinary
+ * calls. Either way the walk's OnUnwind guard reports the level.
  */
 
 #ifndef TMSIM_CHECK_FUZZ_WALK_HH
@@ -209,18 +211,15 @@ FuzzWalk<Engine, Thread>::runTxNode(Thread& t, int tid, int tx_idx,
         flog.enterAttempt(tid, depth);
         co_await execBody(th, tid, tx_idx, depth);
     };
-    bool committed = false;
-    try {
-        // Bind the outcome before asking it anything: GCC 12 rejects
-        // (co_await x).committed().
-        const auto out = co_await engine().atomic(t, tx.open, body);
-        committed = out.committed();
-    } catch (...) {
-        engine().unwound(t, tid, tx.open, depth);
-        throw;
-    }
+    // An ancestor-level rollback can leave this frame before atomic()
+    // returns.
+    OnUnwind report{[&] { engine().unwound(t, tid, tx.open, depth); }};
+    // Bind the outcome before asking it anything: GCC 12 rejects
+    // (co_await x).committed().
+    const auto out = co_await engine().atomic(t, tx.open, body);
+    report.dismiss();
 
-    if (!committed) {
+    if (!out.committed()) {
         // Voluntary abort: the attempt's frames are dead.
         flog.discardAtOrBelow(tid, depth);
         co_return;

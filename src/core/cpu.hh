@@ -6,7 +6,10 @@
  *
  * Simulated software is written as coroutines calling these methods;
  * each call charges instructions and cycles and may suspend for memory
- * timing. Rollback unwinds via TxRollback/TxAbortSignal exceptions.
+ * timing. A rollback of a raw-ISA level (the default protocols below)
+ * throws TxRollback/TxAbortSignal for raw code's try/catch; the TxThread
+ * runtime installs protocols that roll back the levels it owns by a
+ * jump to the owning atomic() frame, which a try/catch cannot see.
  */
 
 #ifndef TMSIM_CORE_CPU_HH
@@ -97,7 +100,8 @@ class Cpu
 
     /**
      * Voluntarily abort the current transaction: runs the abort
-     * protocol, which rolls back and throws TxAbortSignal.
+     * protocol, which rolls back and transfers control to the level's
+     * restart point (the default protocol throws TxAbortSignal).
      */
     SimTask xabort(Word code = 0);
 
@@ -126,11 +130,13 @@ class Cpu
 
     // --- handler protocol hooks (xvhcode / xahcode analogues) ---
 
-    /** Runs on violation delivery; throws to roll back, or returns to
-     *  continue the interrupted transaction (xvret semantics). */
+    /** Runs on violation delivery; rolls back (throwing, or jumping to
+     *  a runtime restart point), or returns to continue the
+     *  interrupted transaction (xvret semantics). */
     using ViolationProtocol = std::function<SimTask(Cpu&)>;
 
-    /** Runs on xabort; receives the abort code. Must unwind. */
+    /** Runs on xabort; receives the abort code. Rolls back like the
+     *  violation protocol; returning resumes the transaction. */
     using AbortProtocol = std::function<SimTask(Cpu&, Word)>;
 
     void setViolationProtocol(ViolationProtocol p);

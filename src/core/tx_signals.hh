@@ -1,12 +1,17 @@
 /**
  * @file
- * Control-transfer signals used to unwind transaction bodies.
+ * Control-transfer signals used to unwind raw-ISA transaction bodies.
  *
- * A violation or abort handler that decides to roll back performs the
+ * A violation or abort protocol that decides to roll back performs the
  * hardware rollback (undo restore, set discard, register restore) and
- * then throws one of these through the coroutine chain; the owning
- * atomic() frame catches it. This models the xvpc redirection of the
- * paper's handler protocol in a structured way.
+ * then transfers control to the level's restart point, modelling the
+ * xvpc redirection of the paper's handler protocol. For a level the
+ * TxThread runtime owns, that transfer is a jump straight to the
+ * owning atomic() frame (sim/task.hh): nothing is thrown, so a
+ * try/catch in the body cannot see it, while handlers and RAII
+ * destructors still run. For any other level (raw-ISA code, the Cpu's
+ * default protocols) the protocol throws one of these through the
+ * coroutine chain, and raw code's own try/catch retry loop catches it.
  */
 
 #ifndef TMSIM_CORE_TX_SIGNALS_HH

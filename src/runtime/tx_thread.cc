@@ -1,6 +1,7 @@
 #include "runtime/tx_thread.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/tx_signals.hh"
 #include "sim/logging.hh"
@@ -55,13 +56,11 @@ TxThread::serializedAtomic(TxBody body, TxOpts opts)
 {
     FifoResource& lock = cpuRef.memSystem().serializeLock();
     co_await lock.acquire();
-    TxOutcome out;
-    try {
-        out = co_await runTx(TxKind::Closed, std::move(body), opts);
-    } catch (...) {
-        lock.release();
-        throw;
-    }
+    // A rollback of an enclosing level leaves this frame mid-section.
+    OnUnwind unlock{[&lock] { lock.release(); }};
+    const TxOutcome out =
+        co_await runTx(TxKind::Closed, std::move(body), opts);
+    unlock.dismiss();
     lock.release();
     co_return out;
 }
@@ -76,25 +75,42 @@ TxThread::runTx(TxKind kind, TxBody body, TxOpts opts)
         Return,
     };
 
+    const std::coroutine_handle<> self = co_await CurrentHandle{};
     int retries = 0;
     for (;;) {
         const int depthBefore = cpuRef.htm().depth();
-        co_await beginTx(kind);
+        co_await beginTx(kind, self);
         const bool subsumed = cpuRef.htm().depth() == depthBefore;
         const int myLevel = cpuRef.htm().depth();
 
-        Next next;
-        TxOutcome out;
+        // A rollback or abort of the level this frame pushed arrives
+        // by a jump back into a co_await below (delivered is set). A
+        // rollback of a level no frame owns yet (raised inside beginTx)
+        // or of a raw-ISA level arrives by a throw.
+        Signal sig{};
         try {
-            co_await body(*this);
-            co_await commitSequence();
-            co_return TxOutcome{TxResult::Committed, 0, retries};
+            SimTask step = body(*this);
+            co_await step;
+            if (!delivered) {
+                step = commitSequence();
+                co_await step;
+            }
+            if (!delivered)
+                co_return TxOutcome{TxResult::Committed, 0, retries};
+            step.abandon();
+            sig = *std::exchange(delivered, std::nullopt);
         } catch (const TxRollback& r) {
             // A rollback targeting an outer level, or one whose
             // hardware level we merely subsumed, belongs to an
             // enclosing frame.
             if (subsumed || r.targetLevel < myLevel)
                 throw;
+            sig = Signal{false, 0};
+        }
+
+        Next next;
+        TxOutcome out;
+        if (!sig.abort) {
             ++retries;
             if (opts.maxRetries && retries > opts.maxRetries) {
                 next = Next::Return;
@@ -102,16 +118,12 @@ TxThread::runTx(TxKind kind, TxBody body, TxOpts opts)
             } else {
                 next = Next::Retry;
             }
-        } catch (const TxAbortSignal& a) {
-            if (subsumed || a.targetLevel < myLevel)
-                throw;
-            if (a.code == retryYieldCode) {
-                ++retries;
-                next = Next::RetryWait;
-            } else {
-                next = Next::Return;
-                out = TxOutcome{TxResult::Aborted, a.code, retries};
-            }
+        } else if (sig.code == retryYieldCode) {
+            ++retries;
+            next = Next::RetryWait;
+        } else {
+            next = Next::Return;
+            out = TxOutcome{TxResult::Aborted, sig.code, retries};
         }
 
         if (next == Next::Return) {
@@ -142,7 +154,7 @@ TxThread::runTx(TxKind kind, TxBody body, TxOpts opts)
 }
 
 SimTask
-TxThread::beginTx(TxKind kind)
+TxThread::beginTx(TxKind kind, std::coroutine_handle<> restart)
 {
     const int before = cpuRef.htm().depth();
     if (kind == TxKind::Closed)
@@ -156,7 +168,7 @@ TxThread::beginTx(TxKind kind)
     // snapshot the handler-stack tops into the new frame and bump the
     // TCB top pointer.
     Frame f{cpuRef.htm().depth(), kind, ch.topWords(), vh.topWords(),
-            ah.topWords()};
+            ah.topWords(), restart};
     const Addr tcb = area.tcbFrameAddr(frames.size());
     co_await cpuRef.imst(tcb + 0 * wordBytes,
                          static_cast<Word>(f.hwLevel));
@@ -253,8 +265,8 @@ TxThread::onCommit(CommitHandlerFn fn, std::vector<Word> args)
     if (!e) {
         // Registration would overflow the thread's handler stack: a
         // recoverable per-transaction abort (through the normal abort
-        // protocol), not a simulator death. Usually throws
-        // TxAbortSignal; a custom abort protocol may instead resume
+        // protocol), not a simulator death. Usually a jump to the
+        // owning atomic(); a custom abort protocol may instead resume
         // us, in which case the registration is simply dropped.
         co_await cpuRef.xabort(handlerOverflowCode);
         co_return;
@@ -372,6 +384,11 @@ TxThread::violationProtocolImpl(Cpu& c)
     ah.truncate(tf.ahSave);
 
     c.rawRollback(target); // undo-log walk + xrwsetclear + xregrestore
+    // Paper 4.3: rollback jumps to the restart point the TCB records.
+    // A frame that is not the level's own (a raw-ISA level between
+    // runtime levels) leaves the rollback to raw code's catch.
+    if (tf.hwLevel == target)
+        co_await jumpToOwner(tf, Signal{false, 0});
     throw TxRollback{target, info.vaddr};
 }
 
@@ -406,7 +423,8 @@ TxThread::abortProtocolImpl(Cpu& c, Word code)
     ah.truncate(tf.ahSave);
 
     c.rawRollback(target); // atomic: restore, discard sets, restore regs
-    throw TxAbortSignal{target, code};
+    // With a frame per level up to the depth, tf is the level's own.
+    co_await jumpToOwner(tf, Signal{true, code});
 }
 
 } // namespace tmsim

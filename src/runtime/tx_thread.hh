@@ -16,6 +16,7 @@
 #define TMSIM_RUNTIME_TX_THREAD_HH
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "core/cpu.hh"
@@ -28,7 +29,9 @@ namespace tmsim {
 
 class TxThread;
 
-/** A transaction body: re-invoked from scratch on every retry. */
+/** A transaction body: re-invoked from scratch on every retry. A
+ *  rollback leaves it by a jump that a try/catch in the body cannot
+ *  see; destructors in its frames still run. */
 using TxBody = std::function<SimTask(TxThread&)>;
 
 /** Information handed to violation handlers (xvaddr / xvcurrent). */
@@ -178,15 +181,36 @@ class TxThread
         size_t chSave;
         size_t vhSave;
         size_t ahSave;
+        /** The runTx that pushed this frame: where a rollback of this
+         *  level jumps (the TCB's restart point). */
+        std::coroutine_handle<> restart;
+    };
+
+    /** How an attempt ended without committing. */
+    struct Signal
+    {
+        /** xabort (else a violation rollback). */
+        bool abort;
+        /** The xabort code. */
+        Word code;
     };
 
     Task<TxOutcome> runTx(TxKind kind, TxBody body, TxOpts opts);
-    SimTask beginTx(TxKind kind);
+    SimTask beginTx(TxKind kind, std::coroutine_handle<> restart);
     SimTask commitSequence();
     SimTask backoff(int retries);
 
     SimTask violationProtocolImpl(Cpu& c);
     SimTask abortProtocolImpl(Cpu& c, Word code);
+
+    /** Deliver @p sig to the runTx that owns the rolled-back frame
+     *  @p f: record it and jump there. */
+    JumpTo
+    jumpToOwner(const Frame& f, Signal sig)
+    {
+        delivered = sig;
+        return JumpTo{f.restart};
+    }
 
     /** Charge the imld/alu traffic of dispatching one handler entry. */
     template <typename Fn>
@@ -199,6 +223,8 @@ class TxThread
     HandlerStack<ViolationHandlerFn> vh;
     HandlerStack<AbortHandlerFn> ah;
     std::vector<Frame> frames;
+    /** Set by jumpToOwner, taken by the runTx it resumes. */
+    std::optional<Signal> delivered;
     Waker retryWaker;
     Rng threadRng;
 };

@@ -8,8 +8,13 @@
  * whole logical thread; the EventQueue resumes it at the right tick.
  *
  * Exceptions propagate through co_await chains exactly like ordinary
- * call stacks, which is how transactional rollback unwinds a transaction
- * body back to its atomic() frame.
+ * call stacks; raw-ISA code rolls back that way, by throwing a signal
+ * its own try/catch retry loop catches. A rollback of a level the
+ * runtime owns is a jump instead (JumpTo): the protocol resumes the
+ * suspended atomic() frame that owns the level, which then destroys the
+ * abandoned body's frames innermost first (Task::abandon), as unwinding
+ * would. A try/catch in the body cannot see such a rollback; RAII
+ * destructors and OnUnwind guards can.
  */
 
 #ifndef TMSIM_SIM_TASK_HH
@@ -30,6 +35,19 @@ template <typename T>
 class Task;
 
 namespace detail {
+
+/** How the suspended frames now being destroyed on this host thread
+ *  die: None while no unfinished task is being destroyed. */
+enum class FrameDeath
+{
+    None,
+    /** A rollback jumped past them (Task::abandon). */
+    Abandoned,
+    /** Their owner dropped them unfinished (simulation teardown). */
+    TornDown,
+};
+
+inline thread_local FrameDeath frameDeath = FrameDeath::None;
 
 struct FinalAwaiter
 {
@@ -129,6 +147,13 @@ class Task
     /** True once the coroutine has run to completion (or thrown). */
     bool done() const { return handle && handle.promise().completed; }
 
+    /**
+     * Destroy an unfinished task because a rollback jumped past it. Its
+     * frames die innermost first, as exception unwinding would destroy
+     * them, and their OnUnwind guards run.
+     */
+    void abandon() { destroy(detail::FrameDeath::Abandoned); }
+
     /** Start a top-level task (resume from the initial suspend point). */
     void
     start()
@@ -174,12 +199,21 @@ class Task
 
   private:
     void
-    destroy()
+    destroy(detail::FrameDeath why = detail::FrameDeath::TornDown)
     {
-        if (handle) {
+        if (!handle)
+            return;
+        // The outermost unfinished frame of a chain says why the
+        // suspended frames below it die; completed frames just go.
+        if (handle.promise().completed ||
+            detail::frameDeath != detail::FrameDeath::None) {
             handle.destroy();
-            handle = {};
+        } else {
+            detail::frameDeath = why;
+            handle.destroy();
+            detail::frameDeath = detail::FrameDeath::None;
         }
+        handle = {};
     }
 
     Handle handle{};
@@ -206,6 +240,80 @@ Promise<void>::get_return_object()
 /** The common task types used throughout the simulator. */
 using SimTask = Task<void>;
 using WordTask = Task<Word>;
+
+/** Awaitable: the awaiting coroutine's own handle, without suspending. */
+struct CurrentHandle
+{
+    std::coroutine_handle<> handle{};
+
+    bool await_ready() const noexcept { return false; }
+
+    bool
+    await_suspend(std::coroutine_handle<> h) noexcept
+    {
+        handle = h;
+        return false;
+    }
+
+    std::coroutine_handle<> await_resume() const noexcept { return handle; }
+};
+
+/**
+ * Awaitable: suspend for good and resume @p target instead, by
+ * symmetric transfer. The target must be a suspended ancestor in the
+ * awaiter's co_await chain; once it runs it owns the frames in between
+ * and must Task::abandon() the one it awaited.
+ */
+struct JumpTo
+{
+    std::coroutine_handle<> target;
+
+    bool await_ready() const noexcept { return false; }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<>) const noexcept
+    {
+        return target;
+    }
+
+    void await_resume() const { panic("resumed past a jump"); }
+};
+
+/**
+ * Scope guard for cleanup a coroutine frame owes when a rollback leaves
+ * it: runs @p fn if a thrown signal unwinds the frame, or if a rollback
+ * jumps past it (Task::abandon). It runs nothing after dismiss(), nor
+ * when a simulation tears its suspended frames down. @p fn must not
+ * throw.
+ */
+template <typename Fn>
+class OnUnwind
+{
+  public:
+    explicit OnUnwind(Fn f) : fn(std::move(f)) {}
+
+    OnUnwind(const OnUnwind&) = delete;
+    OnUnwind& operator=(const OnUnwind&) = delete;
+
+    ~OnUnwind()
+    {
+        using detail::FrameDeath;
+        const bool unwound =
+            detail::frameDeath == FrameDeath::None
+                ? std::uncaught_exceptions() > uncaught
+                : detail::frameDeath == FrameDeath::Abandoned;
+        if (armed && unwound)
+            fn();
+    }
+
+    /** The frame is leaving normally: run nothing. */
+    void dismiss() { armed = false; }
+
+  private:
+    Fn fn;
+    int uncaught = std::uncaught_exceptions();
+    bool armed = true;
+};
 
 /** Awaitable: suspend the current logical thread for @p n cycles. */
 struct Delay

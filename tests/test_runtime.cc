@@ -1,11 +1,15 @@
 /**
  * @file
  * TxThread runtime conventions: atomic()/atomicOpen() retry drivers,
- * nesting through the runtime, abort outcomes, retry/wake, and the
+ * nesting through the runtime, abort outcomes, retry/wake, rollback
+ * delivery (a jump that body catches cannot see), and the
  * paper's section-7 instruction-count calibration (6-instruction
  * begin, 10-instruction handler-free commit, 6-instruction handler-free
  * rollback, 9-instruction no-arg handler registration).
  */
+
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -221,6 +225,108 @@ TEST(Runtime, MaxRetriesExhausts)
     m.run();
 }
 
+TEST(Runtime, RollbackJumpsPastBodyCatchAndDestroysFramesInnermostFirst)
+{
+    // A rollback of a level the runtime owns is a jump to atomic()'s
+    // retry loop: a try/catch in the body never sees it, while every
+    // abandoned frame's destructors run once per rollback, innermost
+    // first, as exception unwinding would run them.
+    Machine m(config(HtmConfig::paperLazy(), 1));
+    TxThread t0(m.cpu(0));
+    const Addr a = m.memory().allocate(64);
+    std::vector<std::string> destroyed;
+    int attempts = 0;
+    int caught = 0;
+
+    struct Probe
+    {
+        std::vector<std::string>& log;
+        std::string name;
+        ~Probe() { log.push_back(name); }
+    };
+
+    auto helper = [&](TxThread& t) -> SimTask {
+        Probe probe{destroyed, "helper"};
+        try {
+            if (attempts <= 2)
+                t.cpu().htm().raiseViolation(0x1, 0);
+            co_await t.ld(a); // boundary: delivers the violation
+        } catch (...) {
+            ++caught;
+            throw;
+        }
+    };
+
+    m.spawn(0, [&](Cpu&) -> SimTask {
+        TxOutcome out = co_await t0.atomic(
+            [&](TxThread& t) -> SimTask {
+                ++attempts;
+                Probe probe{destroyed, "body"};
+                co_await helper(t);
+                co_await t.st(a, static_cast<Word>(attempts));
+            },
+            TxOpts{0, false});
+        EXPECT_TRUE(out.committed());
+        EXPECT_EQ(out.retries, 2);
+    });
+    m.run();
+
+    EXPECT_EQ(caught, 0);
+    EXPECT_EQ(attempts, 3);
+    // Two rollbacks, then the committing attempt's normal returns.
+    const std::vector<std::string> expected{"helper", "body", "helper",
+                                            "body",   "helper", "body"};
+    EXPECT_EQ(destroyed, expected);
+    EXPECT_EQ(m.memory().read(a), 3u);
+    EXPECT_EQ(t0.frameCount(), 0u);
+}
+
+TEST(Runtime, SerializedSectionUnlocksWhenOuterLevelRollsBack)
+{
+    // serializedAtomic holds the machine's serialization lock around
+    // its transaction. A rollback of the enclosing level leaves the
+    // section early; the lock must come free with it, or the next
+    // serialized section waits forever.
+    LogContext ctx;
+    ctx.quiet = true;
+    ctx.throwOnFatal = true; // a leaked lock deadlocks thread 1
+    LogScope scope(ctx);
+    Machine m(config(HtmConfig::paperLazy()));
+    TxThread t0(m.cpu(0));
+    TxThread t1(m.cpu(1));
+    FifoResource& lock = m.memSystem().serializeLock();
+    const Addr a = m.memory().allocate(64);
+    int outerRuns = 0;
+    bool heldInSection = false;
+    bool t1Committed = false;
+
+    m.spawn(0, [&](Cpu&) -> SimTask {
+        TxOutcome out = co_await t0.atomic([&](TxThread& t) -> SimTask {
+            if (++outerRuns > 1)
+                co_return;
+            co_await t.serializedAtomic([&](TxThread& ti) -> SimTask {
+                heldInSection = lock.busy();
+                ti.cpu().htm().raiseViolation(0x1, 0); // the outer level
+                co_await ti.ld(a);
+            });
+        });
+        EXPECT_TRUE(out.committed());
+    });
+    m.spawn(1, [&](Cpu& c) -> SimTask {
+        co_await c.exec(5000); // after thread 0 is done
+        TxOutcome out = co_await t1.serializedAtomic(
+            [&](TxThread& t) -> SimTask { co_await t.st(a, 1); });
+        t1Committed = out.committed();
+    });
+
+    EXPECT_NO_THROW(m.run());
+    EXPECT_TRUE(heldInSection);
+    EXPECT_EQ(outerRuns, 2);
+    EXPECT_TRUE(t1Committed);
+    EXPECT_FALSE(lock.busy());
+    EXPECT_EQ(m.memory().read(a), 1u);
+}
+
 // --- paper section 7 calibration -----------------------------------
 
 TEST(RuntimeCalibration, TransactionStartCostsSixInstructions)
@@ -278,8 +384,9 @@ TEST(RuntimeCalibration, HandlerFreeRollbackCostsSixInstructions)
                     try {
                         co_await t.work(0); // boundary: delivers
                     } catch (...) {
-                        // Unreachable: work(0) charges nothing and the
-                        // protocol throws before returning here.
+                        // Unreachable: the rollback is a jump to
+                        // atomic()'s retry loop, which a catch in the
+                        // body cannot see.
                         throw;
                     }
                     (void)before;
