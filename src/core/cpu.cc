@@ -12,29 +12,29 @@ Cpu::Cpu(CpuId id_, const HtmConfig& htm_cfg, const CacheGeometry& l1_geom,
       eq(mem_sys.eventQueue()),
       memSys(mem_sys),
       statsReg(stats),
-      l1(strfmt("cpu%d.l1", id_), l1_geom, htm_cfg.scheme,
+      l1(cpuStatName(id_, "l1"), l1_geom, htm_cfg.scheme,
          htm_cfg.maxHwLevels, stats),
-      l2(strfmt("cpu%d.l2", id_), l2_geom, htm_cfg.scheme,
+      l2(cpuStatName(id_, "l2"), l2_geom, htm_cfg.scheme,
          htm_cfg.maxHwLevels, stats),
       ctx(id_, htm_cfg, mem_sys.memory(), &l1, &l2, stats),
       det(mem_sys.detector()),
       tr(&TxTracer::nil()),
-      statLoads(stats.counter(strfmt("cpu%d.loads", id_))),
-      statStores(stats.counter(strfmt("cpu%d.stores", id_))),
+      statLoads(stats.counter(cpuStatName(id_, "loads"))),
+      statStores(stats.counter(cpuStatName(id_, "stores"))),
       statViolationsTaken(
-          stats.counter(strfmt("cpu%d.violations_taken", id_))),
+          stats.counter(cpuStatName(id_, "violations_taken"))),
       statRollbacksToOutermost(
-          stats.counter(strfmt("cpu%d.rollbacks_outer", id_))),
+          stats.counter(cpuStatName(id_, "rollbacks_outer"))),
       statRollbacksToInner(
-          stats.counter(strfmt("cpu%d.rollbacks_inner", id_))),
+          stats.counter(cpuStatName(id_, "rollbacks_inner"))),
       statOuterCommits(
-          stats.counter(strfmt("cpu%d.htm.outer_commits", id_))),
-      statRestarts(stats.counter(strfmt("cpu%d.htm.restarts", id_))),
+          stats.counter(cpuStatName(id_, "htm.outer_commits"))),
+      statRestarts(stats.counter(cpuStatName(id_, "htm.restarts"))),
       statCapacityRestarts(
-          stats.counter(strfmt("cpu%d.htm.capacity_restarts", id_))),
+          stats.counter(cpuStatName(id_, "htm.capacity_restarts"))),
       statWastedCycles(
-          stats.counter(strfmt("cpu%d.htm.wasted_cycles", id_))),
-      statBusBusy(stats.counter(strfmt("cpu%d.bus.busy_cycles", id_))),
+          stats.counter(cpuStatName(id_, "htm.wasted_cycles"))),
+      statBusBusy(stats.counter(cpuStatName(id_, "bus.busy_cycles"))),
       distTxDurCommitted(
           stats.distribution("htm.tx_duration_committed")),
       distTxDurViolated(stats.distribution("htm.tx_duration_violated")),

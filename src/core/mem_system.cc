@@ -19,7 +19,7 @@ MemSystem::registerCpu(CpuId cpu, Cache* l1, Cache* l2, HtmContext* ctx)
               ports.size());
     ports.push_back(CpuPort{
         l1, l2, ctx,
-        &statsReg.counter(strfmt("cpu%d.bus.busy_cycles", cpu))});
+        &statsReg.counter(cpuStatName(cpu, "bus.busy_cycles"))});
     det.addContext(ctx);
 }
 

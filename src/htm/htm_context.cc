@@ -17,15 +17,15 @@ HtmContext::HtmContext(CpuId id_, const HtmConfig& cfg_, BackingStore& mem_,
       l1(l1_),
       l2(l2_),
       lineSize(l1_ ? l1_->geometry().lineBytes : 32),
-      statBegins(stats.counter(strfmt("cpu%d.htm.begins", id_))),
-      statCommits(stats.counter(strfmt("cpu%d.htm.commits", id_))),
-      statOpenCommits(stats.counter(strfmt("cpu%d.htm.open_commits", id_))),
-      statRollbacks(stats.counter(strfmt("cpu%d.htm.rollbacks", id_))),
+      statBegins(stats.counter(cpuStatName(id_, "htm.begins"))),
+      statCommits(stats.counter(cpuStatName(id_, "htm.commits"))),
+      statOpenCommits(stats.counter(cpuStatName(id_, "htm.open_commits"))),
+      statRollbacks(stats.counter(cpuStatName(id_, "htm.rollbacks"))),
       statViolationsRaised(
-          stats.counter(strfmt("cpu%d.htm.violations", id_))),
-      statSubsumed(stats.counter(strfmt("cpu%d.htm.subsumed_begins", id_))),
+          stats.counter(cpuStatName(id_, "htm.violations"))),
+      statSubsumed(stats.counter(cpuStatName(id_, "htm.subsumed_begins"))),
       statCapacityAborts(
-          stats.counter(strfmt("cpu%d.htm.capacity_aborts", id_))),
+          stats.counter(cpuStatName(id_, "htm.capacity_aborts"))),
       statCapacitySpills(stats.counter("htm.capacity_spills")),
       distRsetAtCommit(stats.distribution("htm.rset_size_at_commit")),
       distWsetAtCommit(stats.distribution("htm.wset_size_at_commit"))

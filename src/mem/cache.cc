@@ -3,12 +3,121 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
+#include <cstring>
 #include <new>
+#include <unordered_map>
+#include <utility>
+
+// Its poison macros are no-ops outside AddressSanitizer builds.
+#include <sanitizer/asan_interface.h>
 
 #include "sim/logging.hh"
 
 namespace tmsim {
+
+namespace {
+
+std::atomic<std::uint64_t> tagMappings{0};
+std::atomic<std::uint64_t> tagBytesMapped{0};
+
+void*
+mapTags(size_t bytes)
+{
+    void* mem = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED)
+        return nullptr;
+    ++tagMappings;
+    tagBytesMapped += bytes;
+    return mem;
+}
+
+void
+unmapTags(void* mem, size_t bytes)
+{
+    ASAN_UNPOISON_MEMORY_REGION(mem, bytes);
+    munmap(mem, bytes);
+    tagBytesMapped -= bytes;
+}
+
+/** A tag array a freed cache left behind: all-zero and still mapped,
+ *  with its all-zero dirty-set bitmap. */
+struct Parked
+{
+    void* mem = nullptr;
+    size_t bytes = 0;
+    std::vector<std::uint64_t> dirtySets;
+};
+
+/** Set when this thread's pool is destroyed (at thread exit, or before
+ *  static destruction on the main thread); trivially destructible, so
+ *  a later ~Cache can still read it. */
+thread_local bool poolGone = false;
+
+/**
+ * This thread's parked tag arrays, keyed by cache name, at most one per
+ * name. Keying by name hands a rebuilt "cpu3.l2" the pages the last
+ * "cpu3.l2" touched, which the same workload touches again; a pool that
+ * mixed CPUs' arrays would fault in the union of their pages.
+ */
+class TagPool
+{
+  public:
+    TagPool() = default;
+    TagPool(const TagPool&) = delete;
+    TagPool& operator=(const TagPool&) = delete;
+
+    ~TagPool()
+    {
+        poolGone = true;
+        for (auto& [name, p] : parked)
+            if (p.mem)
+                unmapTags(p.mem, p.bytes);
+    }
+
+    /** The array parked under @p name if it spans @p bytes, else none
+     *  (an entry whose array was taken spans 0 bytes). */
+    Parked
+    take(const std::string& name, size_t bytes)
+    {
+        auto it = parked.find(name);
+        if (it == parked.end() || it->second.bytes != bytes)
+            return {};
+        return std::exchange(it->second, Parked{});
+    }
+
+    /** Park @p p under @p name, unmapping an array parked there before. */
+    void
+    park(const std::string& name, Parked p)
+    {
+        Parked& slot = parked[name];
+        if (slot.mem)
+            unmapTags(slot.mem, slot.bytes);
+        slot = std::move(p);
+    }
+
+  private:
+    // Entries stay when their array is taken, so a warm thread builds
+    // and frees caches without allocating.
+    std::unordered_map<std::string, Parked> parked;
+};
+
+TagPool&
+tagPool()
+{
+    thread_local TagPool pool;
+    return pool;
+}
+
+} // namespace
+
+TagMemory
+tagMemory()
+{
+    return {tagMappings.load(), tagBytesMapped.load()};
+}
 
 Cache::Cache(std::string name_, const CacheGeometry& geom_,
              NestScheme scheme_, int max_levels, StatsRegistry& stats)
@@ -28,21 +137,44 @@ Cache::Cache(std::string name_, const CacheGeometry& geom_,
     ways = static_cast<size_t>(geom.assoc);
     lineShift = static_cast<unsigned>(std::countr_zero(geom.lineBytes));
     setMask = static_cast<Addr>(geom.numSets()) - 1;
-    // Anonymous pages read as zero until first written, and an all-zero
-    // Line is an empty way. Default-initialising the trivial Lines
-    // starts their lifetimes without writing a byte.
+    // Anonymous pages read as zero until first written, a parked array
+    // was zeroed by the cache that parked it, and an all-zero Line is
+    // an empty way. Default-initialising the trivial Lines starts their
+    // lifetimes without writing a byte.
     const size_t count = static_cast<size_t>(geom.numSets()) * ways;
     mappedBytes = count * sizeof(Line);
-    void* mem = mmap(nullptr, mappedBytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (mem == MAP_FAILED)
+    Parked p;
+    if (!poolGone)
+        p = tagPool().take(name, mappedBytes);
+    void* mem = p.mem;
+    if (mem) {
+        ASAN_UNPOISON_MEMORY_REGION(mem, mappedBytes);
+    } else if (!(mem = mapTags(mappedBytes))) {
         fatal("%s: cannot map %zu bytes of tags", name.c_str(), mappedBytes);
+    }
+    // A parked bitmap is all-zero, so resizing it yields a clean one.
+    dirtySets = std::move(p.dirtySets);
+    dirtySets.resize((static_cast<size_t>(geom.numSets()) + 63) / 64);
     lines = new (mem) Line[count];
 }
 
 Cache::~Cache()
 {
-    munmap(lines, mappedBytes);
+    if (poolGone) {
+        unmapTags(lines, mappedBytes);
+        return;
+    }
+    // allocate() is the only way a way becomes non-zero, so zeroing the
+    // sets it wrote leaves the array as a fresh mapping reads.
+    for (size_t w = 0; w < dirtySets.size(); ++w) {
+        for (std::uint64_t bits = std::exchange(dirtySets[w], 0); bits;
+             bits &= bits - 1) {
+            const size_t set = w * 64 + std::countr_zero(bits);
+            std::memset(lines + set * ways, 0, ways * sizeof(Line));
+        }
+    }
+    ASAN_POISON_MEMORY_REGION(lines, mappedBytes);
+    tagPool().park(name, {lines, mappedBytes, std::move(dirtySets)});
 }
 
 Cache::Line*
@@ -118,6 +250,8 @@ Cache::allocate(Addr line_addr, EvictInfo* evict)
         }
     }
     wipe(*victim);
+    const Addr setNo = (line_addr >> lineShift) & setMask;
+    dirtySets[setNo / 64] |= std::uint64_t{1} << (setNo % 64);
     victim->valid = true;
     victim->lineAddr = line_addr;
     touch(*victim);

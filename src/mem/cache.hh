@@ -43,6 +43,18 @@ enum class NestScheme
     Associativity,
 };
 
+/**
+ * Process-wide tag-memory accounting, for tests: tag arrays mapped since
+ * start-up, and bytes mapped now, in live caches and in the per-thread
+ * pools of parked arrays.
+ */
+struct TagMemory
+{
+    std::uint64_t mappings = 0;
+    std::uint64_t bytesMapped = 0;
+};
+TagMemory tagMemory();
+
 /** Result of allocating a line: what, if anything, was evicted. */
 struct EvictInfo
 {
@@ -198,11 +210,16 @@ class Cache
     CacheGeometry geom;
     NestScheme scheme;
     int maxLevels;
-    /** numSets() * assoc ways, set-major, in an anonymous mapping of
-     *  zero pages: building a cache touches none of it. */
+    /** numSets() * assoc ways, set-major, all-zero when the cache is
+     *  built: a fresh anonymous mapping of zero pages, or one a freed
+     *  cache of the same name zeroed and parked in this thread's pool.
+     *  Building a cache touches none of it. */
     Line* lines = nullptr;
     size_t ways = 0;
     size_t mappedBytes = 0;
+    /** One bit per set that allocate() has written; ~Cache zeroes just
+     *  those sets before it parks the array. */
+    std::vector<std::uint64_t> dirtySets;
     /** Set of a line address: (lineAddr >> lineShift) & setMask. */
     unsigned lineShift = 0;
     Addr setMask = 0;

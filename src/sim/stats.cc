@@ -1,7 +1,9 @@
 #include "sim/stats.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 
 #include "sim/logging.hh"
 
@@ -41,13 +43,15 @@ fmtDouble(double v)
 
 } // namespace
 
-int
-StatsRegistry::Distribution::highestBucket() const
+std::string
+cpuStatName(int cpu, std::string_view leaf)
 {
-    for (int b = numBuckets() - 1; b >= 0; --b)
-        if (bucketCounts[static_cast<size_t>(b)])
-            return b;
-    return -1;
+    char digits[12];
+    char* end = std::to_chars(digits, std::end(digits), cpu).ptr;
+    std::string name;
+    name.reserve(4 + static_cast<size_t>(end - digits) + leaf.size());
+    name.append("cpu").append(digits, end).append(1, '.').append(leaf);
+    return name;
 }
 
 std::uint64_t
@@ -111,7 +115,8 @@ StatsRegistry::Distribution::mergeFrom(const Distribution& other)
     }
     cnt += other.cnt;
     sumVal += other.sumVal;
-    for (size_t b = 0; b < bucketCounts.size(); ++b)
+    const auto top = static_cast<size_t>(other.highestBucket());
+    for (size_t b = 0; b <= top; ++b)
         bucketCounts[b] += other.bucketCounts[b];
 }
 
@@ -230,13 +235,40 @@ StatsRegistry::formulaValue(const std::string& name) const
            static_cast<double>(den);
 }
 
+namespace {
+
+/** Fold each entry of @p from into @p into's entry of the same name,
+ *  in one walk over the two sorted maps; a name @p into lacks is
+ *  inserted at the walk's position, so no insert searches the tree. */
+template <typename Map, typename Fold>
+void
+mergeSorted(Map& into, const Map& from, Fold fold)
+{
+    auto at = into.begin();
+    for (const auto& [name, value] : from) {
+        int order = 1;
+        while (at != into.end() && (order = at->first.compare(name)) < 0)
+            ++at;
+        if (at == into.end() || order > 0)
+            at = into.try_emplace(at, name);
+        fold(at->second, value);
+        ++at;
+    }
+}
+
+} // namespace
+
 void
 StatsRegistry::mergeFrom(const StatsRegistry& other)
 {
-    for (const auto& [name, ctr] : other.counters)
-        counters[name] += ctr.value();
-    for (const auto& [name, dist] : other.dists)
-        dists[name].mergeFrom(dist);
+    mergeSorted(counters, other.counters,
+                [](Counter& into, const Counter& from) {
+                    into += from.value();
+                });
+    mergeSorted(dists, other.dists,
+                [](Distribution& into, const Distribution& from) {
+                    into.mergeFrom(from);
+                });
     for (const auto& [name, f] : other.formulas)
         formulas.emplace(name, f);
 }

@@ -23,6 +23,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/types.hh"
@@ -35,6 +36,9 @@ namespace tmsim {
  *  (HDR) sub-bucketing and added the ::p50/::p90/::p99/::p999 quantile
  *  keys plus the per-distribution sub_bucket_bits field. */
 constexpr int statsSchemaVersion = 3;
+
+/** "cpu<cpu>.<leaf>", the name of one CPU's stat @p leaf. */
+std::string cpuStatName(int cpu, std::string_view leaf);
 
 /**
  * A registry of named statistics. Components register stats at
@@ -183,8 +187,9 @@ class StatsRegistry
             return bucketCounts[static_cast<size_t>(b)];
         }
 
-        /** Index of the highest non-empty bucket (-1 when empty). */
-        int highestBucket() const;
+        /** Index of the highest non-empty bucket, max()'s (-1 when
+         *  empty). */
+        int highestBucket() const { return cnt ? bucketOf(maxVal) : -1; }
 
         /**
          * The value at quantile @p q in [0, 1]: the upper bound of the

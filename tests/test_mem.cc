@@ -2,8 +2,9 @@
  * @file
  * Memory-system unit tests: backing store, cache geometry, cache
  * presence/LRU/eviction, the transactional line annotations of both
- * nesting schemes, the untouched tag memory of a fresh cache, bus
- * arbitration/occupancy, and FIFO resources.
+ * nesting schemes, the untouched tag memory of a fresh cache, the
+ * per-thread recycling of tag arrays, bus arbitration/occupancy, and
+ * FIFO resources.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,9 @@
 
 #include <cstdint>
 #include <fstream>
+#include <memory>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -364,12 +368,10 @@ struct Seen
 };
 
 /** Line @p a's observable state through fill, a transactional write,
- *  rollback, refill and a commit snoop, in a fresh cache. */
+ *  rollback, refill and a commit snoop. */
 std::vector<Seen>
-lifeOf(NestScheme scheme, Addr a)
+lifeOf(Cache& c, Addr a)
 {
-    StatsRegistry stats;
-    Cache c = makeCache(scheme, stats);
     std::vector<Seen> seen;
     auto observe = [&] {
         seen.push_back({c.contains(a), c.hasTxMeta(a), c.isWritten(a, 1),
@@ -387,6 +389,30 @@ lifeOf(NestScheme scheme, Addr a)
     return seen;
 }
 
+/** Checks that @p c holds nothing, as a fresh mapping would. */
+void
+expectEmpty(const Cache& c)
+{
+    std::vector<Addr> probes = {1ull << 20, 1ull << 40, ~Addr{31}};
+    for (Addr a = 0; a < 64 * 32; a += 32)
+        probes.push_back(a);
+    for (Addr a : probes) {
+        EXPECT_FALSE(c.contains(a)) << a;
+        EXPECT_FALSE(c.hasTxMeta(a)) << a;
+        EXPECT_EQ(c.versionCount(a), 0) << a;
+    }
+    EXPECT_EQ(c.txLineCount(), 0u);
+}
+
+/** lifeOf() in a cache of its own. */
+std::vector<Seen>
+lifeOf(NestScheme scheme, Addr a)
+{
+    StatsRegistry stats;
+    Cache c = makeCache(scheme, stats);
+    return lifeOf(c, a);
+}
+
 } // namespace
 
 TEST(Cache, FreshWaysAreEmptyAndLineZeroIsOrdinary)
@@ -399,15 +425,7 @@ TEST(Cache, FreshWaysAreEmptyAndLineZeroIsOrdinary)
                                                          : "Associativity");
         StatsRegistry stats;
         Cache fresh = makeCache(scheme, stats);
-        std::vector<Addr> probes = {1ull << 20, 1ull << 40, ~Addr{31}};
-        for (Addr a = 0; a < 64 * 32; a += 32)
-            probes.push_back(a);
-        for (Addr a : probes) {
-            EXPECT_FALSE(fresh.contains(a)) << a;
-            EXPECT_FALSE(fresh.hasTxMeta(a)) << a;
-            EXPECT_EQ(fresh.versionCount(a), 0) << a;
-        }
-        EXPECT_EQ(fresh.txLineCount(), 0u);
+        expectEmpty(fresh);
 
         const std::vector<Seen> zero = lifeOf(scheme, 0);
         EXPECT_EQ(zero, lifeOf(scheme, 0x100));
@@ -428,10 +446,19 @@ TEST(Cache, FreshWaysAreEmptyAndLineZeroIsOrdinary)
 
 namespace {
 
-/** Resident memory of this process, from /proc/self/statm. */
+#if defined(__SANITIZE_ADDRESS__)
+extern "C" void __sanitizer_purge_allocator();
+#endif
+
+/** Resident memory of this process, from /proc/self/statm. Under ASan,
+ *  first hand the allocator's quarantine of freed blocks back, so that
+ *  the count follows live memory. */
 long
 residentBytes()
 {
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_purge_allocator();
+#endif
     std::ifstream statm("/proc/self/statm");
     long size = 0;
     long resident = 0;
@@ -451,6 +478,226 @@ TEST(Cache, BuildingA64CpuMachineTouchesNoTagMemory)
     Machine m(cfg);
     const long grown = residentBytes() - before;
     EXPECT_LT(grown, 4l << 20) << "grew by " << grown / 1024 << " KiB";
+}
+
+namespace {
+
+/** makeCache()'s geometry: 16 two-way sets of 32-byte lines. */
+const CacheGeometry smallGeom{1024, 32, 2, 1};
+
+/**
+ * Drives @p c through every path that writes its tag array: lifeOf()
+ * on line 0, then fills that evict, reads and writes at three levels
+ * (with the associativity scheme's replication), closed and open
+ * commit, rollback, a transactional overflow, commit snoops and the
+ * whole-context reset. Ends with annotated lines resident. Returns
+ * what the cache reported about every line it touched after each
+ * step, then its counters.
+ */
+std::vector<std::uint64_t>
+workout(Cache& c, const StatsRegistry& stats, const std::string& name)
+{
+    const Addr stride = 32 * 16;
+    const Addr touched[] = {0,      0x40,       0x80,       0xc0,
+                            0x100,  stride,     2 * stride, 3 * stride,
+                            stride + 0x40,      2 * stride + 0x40};
+    std::vector<std::uint64_t> trace;
+    for (const Seen& s : lifeOf(c, 0)) {
+        trace.insert(trace.end(), {s.contains, s.txMeta, s.written,
+                                   static_cast<std::uint64_t>(s.versions),
+                                   s.txLines});
+    }
+    auto observe = [&] {
+        for (Addr a : touched) {
+            trace.push_back(c.contains(a));
+            trace.push_back(c.hasTxMeta(a));
+            trace.push_back(static_cast<std::uint64_t>(c.versionCount(a)));
+            for (int level = 1; level <= 3; ++level) {
+                trace.push_back(c.isRead(a, level));
+                trace.push_back(c.isWritten(a, level));
+            }
+        }
+        trace.push_back(c.txLineCount());
+    };
+    c.fill(0);
+    c.fill(stride);
+    c.fill(2 * stride); // evicts from set 0
+    observe();
+    c.lookup(2 * stride); // a hit
+    c.lookup(0x40);
+    observe();
+    c.markRead(0, 1);
+    c.markWrite(0x40, 1);
+    c.markWrite(0x40, 2); // a second version under Associativity
+    c.markRead(0x80, 3);
+    observe();
+    c.mergeLevelDown(3);
+    c.mergeLevelDown(2);
+    observe();
+    c.markWrite(0xc0, 2);
+    c.markRead(0x100, 2);
+    c.commitOpenLevel(2);
+    observe();
+    c.markWrite(0x100, 2);
+    c.markRead(3 * stride, 2);
+    c.clearLevel(2);
+    observe();
+    c.markWrite(stride + 0x40, 1);
+    c.fill(2 * stride + 0x40); // a third line in set 2
+    observe();
+    c.invalidateNonSpec(0x80);
+    c.invalidateNonSpec(2 * stride);
+    observe();
+    c.clearAllTx();
+    observe();
+    c.markWrite(0, 1);
+    c.markRead(0x100, 2);
+    observe();
+    for (const char* stat : {".hits", ".misses", ".evictions",
+                             ".tx_overflows", ".version_replications"})
+        trace.push_back(stats.value(name + stat));
+    return trace;
+}
+
+} // namespace
+
+TEST(Cache, RecycledTagArraysComeBackEmpty)
+{
+    // A freed cache zeroes the sets it wrote and parks its array; the
+    // next cache of that name and size takes it instead of mapping
+    // one. It must behave as a fresh mapping, step for step.
+    for (NestScheme scheme :
+         {NestScheme::MultiTracking, NestScheme::Associativity}) {
+        const std::string name = scheme == NestScheme::MultiTracking
+                                     ? "recycled.mt"
+                                     : "recycled.assoc";
+        SCOPED_TRACE(name);
+        std::vector<std::uint64_t> reference;
+        {
+            // A name no cache had before, so a fresh mapping.
+            const std::string freshName =
+                name + ".fresh" + std::to_string(tagMemory().mappings);
+            StatsRegistry stats;
+            const std::uint64_t mapped = tagMemory().mappings;
+            Cache fresh(freshName, smallGeom, scheme, 4, stats);
+            ASSERT_EQ(tagMemory().mappings, mapped + 1);
+            reference = workout(fresh, stats, freshName);
+        }
+        for (int round = 0; round < 3; ++round) {
+            SCOPED_TRACE(round);
+            StatsRegistry stats;
+            const std::uint64_t mapped = tagMemory().mappings;
+            Cache c(name, smallGeom, scheme, 4, stats);
+            if (round > 0) {
+                EXPECT_EQ(tagMemory().mappings, mapped)
+                    << "the array was not recycled";
+            }
+            expectEmpty(c);
+            EXPECT_EQ(workout(c, stats, name), reference);
+        }
+    }
+}
+
+TEST(Cache, PoolParksOneArrayPerName)
+{
+    // Two live caches share a name, then a larger one takes it: each
+    // freed array unmaps the one parked under that name before it.
+    // With 32-byte lines, a tag array spans the cache's size in bytes.
+    const std::string name = "twin" + std::to_string(tagMemory().mappings);
+    const CacheGeometry larger{4096, 32, 2, 1};
+    StatsRegistry stats;
+    auto a = std::make_unique<Cache>(name, smallGeom,
+                                     NestScheme::MultiTracking, 4, stats);
+    auto b = std::make_unique<Cache>(name, smallGeom,
+                                     NestScheme::MultiTracking, 4, stats);
+    const std::uint64_t live = tagMemory().bytesMapped;
+    a.reset();
+    EXPECT_EQ(tagMemory().bytesMapped, live);
+    b.reset();
+    EXPECT_EQ(tagMemory().bytesMapped, live - smallGeom.sizeBytes);
+    {
+        Cache c(name, larger, NestScheme::MultiTracking, 4, stats);
+        EXPECT_EQ(tagMemory().bytesMapped,
+                  live - smallGeom.sizeBytes + larger.sizeBytes);
+    }
+    EXPECT_EQ(tagMemory().bytesMapped,
+              live - 2 * smallGeom.sizeBytes + larger.sizeBytes);
+}
+
+TEST(Cache, RebuildingAMachineMapsNoNewTagMemory)
+{
+    MachineConfig cfg;
+    cfg.numCpus = 4;
+    auto round = [&cfg](Addr base) {
+        Machine m(cfg);
+        for (int i = 0; i < cfg.numCpus; ++i) {
+            m.spawn(i, [base, i](Cpu& cpu) -> SimTask {
+                for (Addr k = 0; k < 64; ++k)
+                    co_await cpu.load(base + (k * 4 + i) * 4096);
+            });
+        }
+        m.run();
+        ASSERT_TRUE(m.allDone());
+    };
+    round(0);
+    const std::uint64_t mapped = tagMemory().mappings;
+    for (int r = 1; r <= 100; ++r)
+        round(static_cast<Addr>(r % 7) * 32);
+    EXPECT_EQ(tagMemory().mappings, mapped);
+}
+
+TEST(Cache, RecycledTagArraysKeepTheirCpusPages)
+{
+    // Each of 64 CPUs loads one line in each of 64 pages of its L2
+    // tags: CPUs 0-31 the first half of the array, CPUs 32-63 the
+    // second, every line its own. A pool that handed CPU i another
+    // CPU's array would fault in that CPU's pages again, 16 MiB per
+    // round; one that keeps each name's array adds nothing.
+    MachineConfig cfg;
+    cfg.numCpus = 64;
+    const Addr lineBytes = cfg.l2.lineBytes;
+    const Addr sets = static_cast<Addr>(cfg.l2.numSets());
+    const Addr setsPerPage =
+        4096 / (lineBytes * static_cast<Addr>(cfg.l2.assoc));
+    auto round = [&] {
+        Machine m(cfg);
+        for (int i = 0; i < cfg.numCpus; ++i) {
+            m.spawn(i, [=](Cpu& cpu) -> SimTask {
+                const Addr cpuNo = static_cast<Addr>(i);
+                const Addr firstPage = cpuNo < 32 ? 0 : 64;
+                for (Addr page = firstPage; page < firstPage + 64; ++page) {
+                    const Addr set = page * setsPerPage + cpuNo % setsPerPage;
+                    co_await cpu.load((cpuNo * sets + set) * lineBytes);
+                }
+            });
+        }
+        m.run();
+        ASSERT_TRUE(m.allDone());
+    };
+    round();
+    const long afterFirst = residentBytes();
+    for (int r = 2; r <= 3; ++r) {
+        round();
+        const long grown = residentBytes() - afterFirst;
+        EXPECT_LT(grown, 1l << 20)
+            << "round " << r << " grew by " << grown / 1024 << " KiB";
+    }
+}
+
+TEST(Cache, FreedAfterItsThreadsPoolStillUnmaps)
+{
+    const std::uint64_t before = tagMemory().bytesMapped;
+    std::thread([] {
+        // Thread-locals die in reverse order of construction. These two
+        // are built before the Cache first reaches this thread's pool,
+        // so the pool dies first and ~Cache finds it gone.
+        thread_local StatsRegistry stats;
+        thread_local std::unique_ptr<Cache> late;
+        late = std::make_unique<Cache>("late", smallGeom,
+                                       NestScheme::MultiTracking, 4, stats);
+        late->markWrite(0x40, 1);
+    }).join();
+    EXPECT_EQ(tagMemory().bytesMapped, before);
 }
 
 TEST(FifoResource, GrantsInOrder)

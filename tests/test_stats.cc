@@ -439,6 +439,44 @@ TEST(Merge, CountersAddAndDistributionsFold)
     EXPECT_EQ(a.findDistribution("only_b_dist")->count(), 1u);
 }
 
+TEST(StatNames, PerCpuNamesAppendToTheCpuPrefix)
+{
+    EXPECT_EQ(cpuStatName(0, "l1"), "cpu0.l1");
+    EXPECT_EQ(cpuStatName(127, "htm.capacity_restarts"),
+              "cpu127.htm.capacity_restarts");
+}
+
+TEST(Merge, NamesInterleaveWithTheDestinations)
+{
+    // The merge walks both sorted maps at once: source names fall
+    // before, between, on and after the destination's.
+    StatsRegistry a;
+    for (const char* name : {"b", "d", "f"})
+        a.counter(name) += 1;
+    a.distribution("m").sample(4);
+    StatsRegistry b;
+    for (const char* name : {"a", "b", "c", "e", "f", "g", "h"})
+        b.counter(name) += 10;
+    for (const char* name : {"l", "m", "n"})
+        b.distribution(name).sample(7);
+
+    a.mergeFrom(b);
+    EXPECT_EQ(a.names(), (std::vector<std::string>{"a", "b", "c", "d", "e",
+                                                   "f", "g", "h"}));
+    for (const char* name : {"a", "c", "e", "g", "h"})
+        EXPECT_EQ(a.value(name), 10u) << name;
+    for (const char* name : {"b", "f"})
+        EXPECT_EQ(a.value(name), 11u) << name;
+    EXPECT_EQ(a.value("d"), 1u);
+    for (const char* name : {"l", "n"}) {
+        ASSERT_NE(a.findDistribution(name), nullptr) << name;
+        EXPECT_EQ(a.findDistribution(name)->count(), 1u) << name;
+    }
+    EXPECT_EQ(a.findDistribution("m")->count(), 2u);
+    EXPECT_EQ(a.findDistribution("m")->min(), 4u);
+    EXPECT_EQ(a.findDistribution("m")->max(), 7u);
+}
+
 TEST(Merge, EmptySourceDistributionIsANoOp)
 {
     StatsRegistry a;
