@@ -6,8 +6,8 @@
  * strong-atomicity scans for non-transactional stores — plus an
  * end-to-end contended-transaction throughput run.
  *
- * The sharer-index/signature optimisation turns these from
- * O(lines x CPUs x depth) scans into O(actual sharers) lookups; this
+ * The sharer index turns these from O(lines x CPUs x depth) scans
+ * into O(actual sharers) lookups; this
  * benchmark is the before/after evidence (BENCH_conflict_index.json).
  *
  * Set layout per victim CPU: `privLines` private read lines plus

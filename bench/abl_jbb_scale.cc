@@ -16,8 +16,8 @@
  *    visible as a higher neworder p99 at equal throughput;
  *  - contention policies at 64/128 CPUs: the PR 4 managers
  *    (timestamp/karma/hybrid) finally measured at the CPU counts they
- *    were built for, on top of the PR 1 signature-filtered sharer
- *    index which makes 128-CPU conflict lookups tractable.
+ *    were built for, on top of the conflict detector's sharer index
+ *    (DESIGN §7), which makes 128-CPU conflict lookups tractable.
  *
  * With --out FILE the grid is written as JSON (curated copy:
  * BENCH_jbb_scale.json; tools/bench_trend collects the headline

@@ -73,6 +73,8 @@ measureRollback()
     MachineConfig cfg;
     cfg.numCpus = 1;
     cfg.htm = HtmConfig::paperLazy();
+    // A retry must re-enter the body at once to be measured.
+    cfg.htm.retryBackoff = false;
     Machine m(cfg);
     TxThread t0(m.cpu(0));
     Measurement out{0, 0};
@@ -97,8 +99,7 @@ measureRollback()
                     out.cycles = c.now() - raiseTick;
                 }
                 co_return;
-            },
-            TxOpts{0, false});
+            });
     });
     m.run();
     return out;

@@ -81,13 +81,6 @@ Cpu::setAbortProtocol(AbortProtocol p)
 }
 
 SimTask
-Cpu::poll()
-{
-    if (ctx.deliverable())
-        co_await deliverViolations();
-}
-
-SimTask
 Cpu::deliverViolations()
 {
     while (ctx.deliverable()) {
@@ -418,7 +411,11 @@ Cpu::xvalidate()
             ctx.setReporting(true);
         if (ctx.deliverable())
             co_await deliverViolations();
-        const std::vector<Addr>& lines = ctx.topWriteLines();
+        // A view of the top write set. Nothing changes that set while
+        // this loop is suspended: only this CPU's own instructions
+        // insert into it, and a violation delivery, which may roll the
+        // level back, is always followed by a fresh view.
+        const std::span<const Addr> lines = ctx.topWriteLines();
         if (lines.empty()) {
             // Read-only transaction: nothing to broadcast or pin.
             ctx.setTopValidated();
@@ -464,7 +461,7 @@ Cpu::xvalidate()
         // Commit point: violate conflicting readers, pin the write-set.
         Cycles penalty = det.broadcastWriteSet(ctx, lines);
         det.lockLines(ctx, lines);
-        lockedAtLevel[ctx.depth()] = lines;
+        lockedAtLevel[ctx.depth()].assign(lines.begin(), lines.end());
         ctx.setTopValidated();
         memSys.notifySerialized(cpuId, !outermost);
 
@@ -475,7 +472,7 @@ Cpu::xvalidate()
         const Cycles beats =
             lines.size() * (1 + bus.beatsForLine(unitBytes));
         co_await bus.occupy(beats);
-        statBusBusy += bus.config().arbitrationLatency + beats;
+        statBusBusy += Bus::arbitrationLatency + beats;
         if (penalty)
             co_await Delay{eq, penalty};
         bus.commitToken().release();
@@ -511,7 +508,7 @@ Cpu::xcommit()
     if (ctx.top().status != TxStatus::Validated)
         fatal("xcommit without a preceding xvalidate");
 
-    const std::vector<Addr>& lines = ctx.topWriteLines();
+    const std::span<const Addr> lines = ctx.topWriteLines();
     Cycles cost = ctx.commitTopToMemory();
     // Under word-granular tracking several units share a line; snoop
     // each line once, not once per written word.

@@ -155,10 +155,6 @@ class Cpu
      *  rawRollback and throw TxRollback. */
     SimTask rollbackAndThrow(int target_level);
 
-    /** Deliver any pending violation now (poll point for long host-side
-     *  computations inside workloads). */
-    SimTask poll();
-
     /** Restart reason of the last rawRollback: true when it was caused
      *  by a capacity abort (bounded read/write-set caps, or a
      *  transactional-line eviction in CapacityMode::Abort). The
@@ -186,7 +182,6 @@ class Cpu
      * duration and violation-to-restart latency.
      */
     void setOpClass(int id) { curOpClass = id; }
-    int opClass() const { return curOpClass; }
 
   private:
     SimTask deliverViolations();

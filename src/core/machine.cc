@@ -11,8 +11,7 @@ Machine::Machine(const MachineConfig& cfg_)
         fatal("Machine needs at least one CPU");
     threads.reserve(static_cast<size_t>(cfg.numCpus));
     tracerObj.setNumCpus(cfg.numCpus);
-    memSys = std::make_unique<MemSystem>(eq, cfg.bus, cfg.memBytes,
-                                         statsReg);
+    memSys = std::make_unique<MemSystem>(eq, cfg.memBytes, statsReg);
     memSys->detector().setTracer(&tracerObj);
     for (int i = 0; i < cfg.numCpus; ++i) {
         cpus.push_back(std::make_unique<Cpu>(i, cfg.htm, cfg.l1, cfg.l2,

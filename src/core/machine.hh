@@ -27,7 +27,6 @@ struct MachineConfig
     int numCpus = 8;
     CacheGeometry l1{32 * 1024, 32, 4, 1};
     CacheGeometry l2{512 * 1024, 32, 8, 12};
-    BusConfig bus{};
     HtmConfig htm{};
     Addr memBytes = 64ull * 1024 * 1024;
 };

@@ -4,10 +4,9 @@
 
 namespace tmsim {
 
-MemSystem::MemSystem(EventQueue& eq_, const BusConfig& bus_cfg,
-                     Addr mem_bytes, StatsRegistry& stats)
-    : eq(eq_), statsReg(stats), store(mem_bytes),
-      sysBus(eq_, bus_cfg, stats), det(eq_, stats), serialize(eq_)
+MemSystem::MemSystem(EventQueue& eq_, Addr mem_bytes, StatsRegistry& stats)
+    : eq(eq_), statsReg(stats), store(mem_bytes), sysBus(eq_, stats),
+      det(eq_, stats), serialize(eq_)
 {
 }
 
@@ -47,8 +46,8 @@ MemSystem::busFill(CpuId cpu, Addr line_addr)
     CpuPort& port = ports[static_cast<size_t>(cpu)];
     const Addr lineBytes = port.l1->geometry().lineBytes;
     co_await sysBus.lineFetch(lineBytes);
-    *port.busBusy += sysBus.config().arbitrationLatency + 1 +
-                     sysBus.beatsForLine(lineBytes);
+    *port.busBusy +=
+        Bus::arbitrationLatency + 1 + Bus::beatsForLine(lineBytes);
     EvictInfo l2Evict = port.l2->fill(line_addr);
     if (l2Evict.evicted && l2Evict.transactional)
         port.ctx->noteEviction(l2Evict);

@@ -27,10 +27,7 @@ namespace tmsim {
 class MemSystem
 {
   public:
-    MemSystem(EventQueue& eq, const BusConfig& bus_cfg, Addr mem_bytes,
-              StatsRegistry& stats);
-
-    StatsRegistry& statsRegistry() { return statsReg; }
+    MemSystem(EventQueue& eq, Addr mem_bytes, StatsRegistry& stats);
 
     BackingStore& memory() { return store; }
     Bus& bus() { return sysBus; }

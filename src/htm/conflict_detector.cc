@@ -17,9 +17,7 @@ ConflictDetector::ConflictDetector(EventQueue& eq_, StatsRegistry& stats)
       statLockStalls(stats.counter("htm.lock_stalls")),
       statStrongAtomicityViolations(
           stats.counter("htm.strong_atomicity_violations")),
-      statSigFiltered(stats.counter("htm.sig_filtered")),
       statIndexHits(stats.counter("htm.index_hits")),
-      statSigFalsePositives(stats.counter("htm.sig_false_positives")),
       statOverflowChecks(stats.counter("htm.overflow_checks"))
 {
     tracer = &TxTracer::nil();
@@ -74,7 +72,6 @@ ConflictDetector::updateSharer(HtmContext* ctx, Addr unit, bool is_write,
         return s.ctx->cpuId() < id;
     };
     if (set_bits) {
-        (is_write ? globalWriteSig : globalReadSig).add(unit);
         auto& sharers = sharerIndex[unit].sharers;
         auto it = std::lower_bound(sharers.begin(), sharers.end(),
                                    ctx->cpuId(), bySlotCpu);
@@ -98,32 +95,16 @@ ConflictDetector::updateSharer(HtmContext* ctx, Addr unit, bool is_write,
     if (it->readers | it->writers)
         return;
     sharers.erase(it);
-    if (sharers.empty()) {
+    if (sharers.empty())
         sharerIndex.erase(mit);
-        if (sharerIndex.empty()) {
-            // Exact rebuild point: nobody shares anything, so every
-            // stale signature bit can be dropped at once.
-            globalReadSig.clear();
-            globalWriteSig.clear();
-        }
-    }
 }
 
 const ConflictDetector::SharerEntry*
-ConflictDetector::lookupSharers(Addr unit, bool need_readers,
-                                bool need_writers) const
+ConflictDetector::lookupSharers(Addr unit) const
 {
-    const bool mayRead = need_readers && globalReadSig.mayContain(unit);
-    const bool mayWrite = need_writers && globalWriteSig.mayContain(unit);
-    if (!mayRead && !mayWrite) {
-        ++statSigFiltered;
-        return nullptr;
-    }
     auto it = sharerIndex.find(unit);
-    if (it == sharerIndex.end()) {
-        ++statSigFalsePositives;
+    if (it == sharerIndex.end())
         return nullptr;
-    }
     ++statIndexHits;
     return &it->second;
 }
@@ -154,11 +135,11 @@ ConflictDetector::indexedWriters(const HtmContext& ctx, Addr unit) const
 
 Cycles
 ConflictDetector::broadcastWriteSet(HtmContext& committer,
-                                    const std::vector<Addr>& lines)
+                                    std::span<const Addr> lines)
 {
     statBroadcastLines += lines.size();
     for (Addr line : lines) {
-        const SharerEntry* e = lookupSharers(line, true, false);
+        const SharerEntry* e = lookupSharers(line);
         if (!e)
             continue;
         for (const SharerSlot& s : e->sharers) {
@@ -181,14 +162,14 @@ ConflictDetector::broadcastWriteSet(HtmContext& committer,
 
 ConflictDetector::CommitYield
 ConflictDetector::commitYieldTarget(const HtmContext& committer,
-                                    const std::vector<Addr>& lines)
+                                    std::span<const Addr> lines)
 {
     CommitYield out;
     ContentionManager& mgr = contention();
     if (!mgr.mayYieldAtCommit())
         return out;
     for (Addr line : lines) {
-        const SharerEntry* e = lookupSharers(line, true, false);
+        const SharerEntry* e = lookupSharers(line);
         if (!e)
             continue;
         for (const SharerSlot& s : e->sharers) {
@@ -213,7 +194,7 @@ ConflictDetector::commitYieldTarget(const HtmContext& committer,
 
 void
 ConflictDetector::lockLines(const HtmContext& owner,
-                            const std::vector<Addr>& lines)
+                            std::span<const Addr> lines)
 {
     for (Addr line : lines) {
         auto [it, inserted] = lockOwner.emplace(line, Lock{owner.cpuId(), 1});
@@ -229,7 +210,7 @@ ConflictDetector::lockLines(const HtmContext& owner,
 
 void
 ConflictDetector::unlockLines(const HtmContext& owner,
-                              const std::vector<Addr>& lines)
+                              std::span<const Addr> lines)
 {
     for (Addr line : lines) {
         auto it = lockOwner.find(line);
@@ -258,7 +239,7 @@ ConflictDetector::lockedByOther(const HtmContext& me, Addr line) const
 
 bool
 ConflictDetector::anyLockedByOther(const HtmContext& me,
-                                   const std::vector<Addr>& lines) const
+                                   std::span<const Addr> lines) const
 {
     for (Addr line : lines)
         if (lockedByOther(me, line))
@@ -285,7 +266,7 @@ ConflictDetector::Verdict
 ConflictDetector::eagerCheck(HtmContext& requester, Addr line,
                              bool is_write, CpuId* conflict_peer)
 {
-    const SharerEntry* e = lookupSharers(line, is_write, true);
+    const SharerEntry* e = lookupSharers(line);
     if (!e)
         return Verdict::Proceed;
     ContentionManager& mgr = contention();
@@ -348,7 +329,7 @@ ConflictDetector::eagerCheck(HtmContext& requester, Addr line,
 void
 ConflictDetector::nonTxStore(CpuId cpu, Addr line)
 {
-    const SharerEntry* e = lookupSharers(line, true, true);
+    const SharerEntry* e = lookupSharers(line);
     if (!e)
         return;
     for (const SharerSlot& s : e->sharers) {
@@ -376,8 +357,7 @@ ConflictDetector::resolveNonTxLoad(CpuId cpu, Addr word_addr,
     // narrows the scan to the unit's writers.
     if (ctxs.empty())
         return mem_value;
-    const SharerEntry* e =
-        lookupSharers(ctxs.front()->trackUnit(word_addr), false, true);
+    const SharerEntry* e = lookupSharers(ctxs.front()->trackUnit(word_addr));
     if (!e)
         return mem_value;
     for (const SharerSlot& s : e->sharers) {
@@ -396,7 +376,7 @@ ConflictDetector::patchInPlaceWriters(CpuId cpu, Addr line_addr,
     // Strong atomicity for stores over in-place speculative data: the
     // violated writer's eventual rollback must restore OUR value, and
     // its read/write sets were already violated via nonTxStore().
-    const SharerEntry* e = lookupSharers(line_addr, false, true);
+    const SharerEntry* e = lookupSharers(line_addr);
     if (!e)
         return;
     for (const SharerSlot& s : e->sharers) {
@@ -412,7 +392,7 @@ bool
 ConflictDetector::validatedPeerBlocks(CpuId cpu, Addr unit,
                                       bool is_store) const
 {
-    const SharerEntry* e = lookupSharers(unit, is_store, true);
+    const SharerEntry* e = lookupSharers(unit);
     if (!e)
         return false;
     for (const SharerSlot& s : e->sharers) {
@@ -428,18 +408,14 @@ ConflictDetector::validatedPeerBlocks(CpuId cpu, Addr unit,
 Cycles
 ConflictDetector::overflowPenalty() const
 {
-    // Audit note (PR 8): the sharer-index rewrite left this charged on
-    // both conflict paths. Eager mode charges it in Cpu::load/store on
-    // every first access to a unit, before eagerCheck runs — so the
-    // sig_filtered early-out inside lookupSharers cannot bypass it.
-    // Lazy mode charges it at the tail of broadcastWriteSet regardless
-    // of how many lines the filter skipped. What was missing was any
-    // accounting: overflow consults were invisible in the stats dump.
+    // Charged on both conflict paths: eager mode in Cpu::load/store on
+    // every first access to a unit, before eagerCheck runs; lazy mode
+    // at the tail of broadcastWriteSet, whatever the broadcast found.
     Cycles penalty = 0;
     for (const HtmContext* ctx : ctxs) {
         if (ctx->overflowed()) {
             ++statOverflowChecks;
-            penalty += ctx->config().overflowCheckPenalty;
+            penalty += HtmConfig::overflowCheckPenalty;
         }
     }
     return penalty;

@@ -14,9 +14,9 @@
  *
  * Conflict queries are served from an inverted sharer index
  * (track-unit -> per-CPU reader/writer level-masks, fed a bit delta by
- * every context on each per-level set change) fronted by chip-wide
- * Bloom signatures, so each query costs O(actual sharers) instead of
- * O(all contexts x nesting depth).
+ * every context on each per-level set change), so each query costs one
+ * hash probe plus O(actual sharers) instead of O(all contexts x
+ * nesting depth).
  */
 
 #ifndef TMSIM_HTM_CONFLICT_DETECTOR_HH
@@ -24,12 +24,12 @@
 
 #include <coroutine>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "htm/contention.hh"
 #include "htm/htm_context.hh"
-#include "htm/signature.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
 
@@ -44,8 +44,6 @@ class ConflictDetector
      *  Contexts must share conflict-tracking granularity and line
      *  size; they report every set change to this detector. */
     void addContext(HtmContext* ctx);
-
-    size_t numContexts() const { return ctxs.size(); }
 
     /**
      * @p ctx's reader (or, if @p is_write, writer) level-mask for
@@ -70,10 +68,10 @@ class ConflictDetector
      */
     ContentionManager& contention();
 
-    /** Software abandoned @p cpu's attempt sequence (voluntary abort
-     *  that will not retry, or retry budget exhausted): drop its
-     *  fairness record so stale seniority/karma cannot leak into the
-     *  next, unrelated transaction. */
+    /** Software abandoned @p cpu's attempt sequence (a voluntary abort
+     *  that will not retry): drop its fairness record so stale
+     *  seniority/karma cannot leak into the next, unrelated
+     *  transaction. */
     void noteSequenceAbandoned(CpuId cpu);
 
     /** Outcome of the lazy commit-arbitration query. */
@@ -88,11 +86,12 @@ class ConflictDetector
      * Lazy commit arbitration: should @p committer, already holding the
      * commit token, surrender its slot instead of violating one of the
      * active readers of @p lines (Hybrid's must-win escalation)? Pure
-     * query — no violation is raised; the caller self-violates and
-     * releases the token.
+     * query — no violation is raised. The caller keeps its speculative
+     * state and pauses: Cpu::xvalidate releases the token, waits 4
+     * cycles and retries, yielding at most 8 times per validation.
      */
     CommitYield commitYieldTarget(const HtmContext& committer,
-                                  const std::vector<Addr>& lines);
+                                  std::span<const Addr> lines);
 
     // --- lazy protocol ---
 
@@ -104,21 +103,20 @@ class ConflictDetector
      * @return modelled extra check cost for overflowed contexts.
      */
     Cycles broadcastWriteSet(HtmContext& committer,
-                             const std::vector<Addr>& lines);
+                             std::span<const Addr> lines);
 
     /** Pin @p owner's validated write-set lines until unlock. */
-    void lockLines(const HtmContext& owner, const std::vector<Addr>& lines);
+    void lockLines(const HtmContext& owner, std::span<const Addr> lines);
 
     /** Release pinned lines and wake every stalled accessor. */
-    void unlockLines(const HtmContext& owner,
-                     const std::vector<Addr>& lines);
+    void unlockLines(const HtmContext& owner, std::span<const Addr> lines);
 
     /** True if @p line is pinned by a context other than @p me. */
     bool lockedByOther(const HtmContext& me, Addr line) const;
 
     /** True if any of @p lines is pinned by a context other than @p me. */
     bool anyLockedByOther(const HtmContext& me,
-                          const std::vector<Addr>& lines) const;
+                          std::span<const Addr> lines) const;
 
     /** Park until @p line is no longer pinned by somebody else. */
     SimTask waitUnlocked(const HtmContext& me, Addr line);
@@ -183,9 +181,8 @@ class ConflictDetector
      * Extra conflict-check latency due to overflowed contexts: one
      * overflowCheckPenalty per context whose overflow structures
      * (evicted lines, or the capacity-spill log) must be consulted.
-     * Charged by the CPU on every eager first-access check — before
-     * and independent of the signature filter, so the sig_filtered
-     * early-out in lookupSharers cannot skip it — and by
+     * Charged by the CPU on every eager first-access check, before
+     * and independent of the sharer-index lookup, and by
      * broadcastWriteSet unconditionally at the end of a lazy commit
      * broadcast. Each consult is counted in `htm.overflow_checks`.
      */
@@ -217,13 +214,11 @@ class ConflictDetector
         std::vector<SharerSlot> sharers;
     };
 
-    /**
-     * Signature-then-index probe: returns the sharer list for @p unit,
-     * or nullptr when no context can be reading (if @p need_readers)
-     * or writing (if @p need_writers) it. Counts the filter stats.
-     */
-    const SharerEntry* lookupSharers(Addr unit, bool need_readers,
-                                     bool need_writers) const;
+    /** The sharer list for @p unit, or nullptr when no context shares
+     *  it. Counts `htm.index_hits`; every caller filters the slots by
+     *  the reader/writer masks it cares about. */
+    const SharerEntry* lookupSharers(Addr unit) const;
+
     struct LockWait
     {
         ConflictDetector& det;
@@ -266,22 +261,13 @@ class ConflictDetector
      *  it, with their per-level reader/writer masks. */
     std::unordered_map<Addr, SharerEntry> sharerIndex;
 
-    /** Union Bloom signatures over all indexed units; first-line
-     *  filter before any index probe. Stale bits (sets shrank) only
-     *  cause false positives; both are rebuilt-from-empty whenever the
-     *  index empties out. */
-    TxSignature globalReadSig;
-    TxSignature globalWriteSig;
-
     StatsRegistry::Counter& statBroadcastLines;
     StatsRegistry::Counter& statLazyViolations;
     StatsRegistry::Counter& statEagerConflicts;
     StatsRegistry::Counter& statSelfViolations;
     StatsRegistry::Counter& statLockStalls;
     StatsRegistry::Counter& statStrongAtomicityViolations;
-    StatsRegistry::Counter& statSigFiltered;
     StatsRegistry::Counter& statIndexHits;
-    StatsRegistry::Counter& statSigFalsePositives;
 
     /** Overflow-table consults actually charged (one per overflowed
      *  context per overflowPenalty() assessment; counted through the

@@ -14,7 +14,8 @@
  *    (evictInPlaceVictim);
  *  - lazy commit arbitration: Cpu::xvalidate asks, once the commit
  *    token is held, whether the committer should yield its slot to a
- *    starving reader instead of violating it (commitYieldPeer);
+ *    starving reader instead of violating it (committerYields, through
+ *    ConflictDetector::commitYieldTarget);
  *  - restart scheduling: TxThread::backoff asks for the delay before
  *    re-executing an aborted transaction (backoffDelay).
  *
@@ -53,7 +54,6 @@ class ContentionManager
     ContentionManager(const HtmConfig& cfg, StatsRegistry& stats);
     virtual ~ContentionManager() = default;
 
-    ContentionPolicy policy() const { return pol; }
     int starvationThreshold() const { return starveK; }
 
     // --- lifecycle hooks (driven by HtmContext and the runtime) ---
@@ -125,8 +125,10 @@ class ContentionManager
     /**
      * Lazy commit arbitration: @p committer holds the commit token and
      * is about to violate active reader @p reader. Returning true
-     * makes the committer abort itself instead (Hybrid's must-win
-     * escalation); the reader is untouched.
+     * makes the committer pause instead (Hybrid's must-win
+     * escalation): Cpu::xvalidate keeps its speculative state,
+     * releases the token, waits 4 cycles and retries, at most 8
+     * times. The reader is untouched.
      */
     virtual bool committerYields(const HtmContext& committer,
                                  const HtmContext& reader) const;

@@ -140,7 +140,7 @@ struct HtmConfig
      * when @ref lazyMerge is false (paper 6.3: "merging is difficult to
      * implement as a fast gang operation").
      */
-    Cycles mergePerLineCycles = 1;
+    static constexpr Cycles mergePerLineCycles = 1;
 
     /** Model the paper's lazy merge: commit-time merge is free and the
      *  cost folds into subsequent accesses. */
@@ -148,7 +148,7 @@ struct HtmConfig
 
     /** Extra conflict-check latency once a context has overflowed
      *  transactional lines out of its caches (virtualisation). */
-    Cycles overflowCheckPenalty = 8;
+    static constexpr Cycles overflowCheckPenalty = 8;
 
     /**
      * Per-level read/write-set capacity, in tracked lines; 0 means

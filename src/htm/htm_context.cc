@@ -268,21 +268,19 @@ HtmContext::wroteWordInPlace(Addr word_addr) const
 Word
 HtmContext::oldestUndoValue(Addr word_addr) const
 {
-    const auto* entries = undoIndex.find(word_addr);
-    if (!entries || entries->empty())
-        panic("oldestUndoValue: no undo entry for 0x%llx",
-              static_cast<unsigned long long>(word_addr));
-    return undoLog[entries->front()].oldValue;
+    for (const UndoEntry& e : undoLog)
+        if (e.addr == word_addr)
+            return e.oldValue;
+    panic("oldestUndoValue: no undo entry for 0x%llx",
+          static_cast<unsigned long long>(word_addr));
 }
 
 void
 HtmContext::patchUndoEntries(Addr word_addr, Word value)
 {
-    const auto* entries = undoIndex.find(word_addr);
-    if (!entries)
-        return;
-    for (std::uint32_t i : *entries)
-        undoLog[i].oldValue = value;
+    for (UndoEntry& e : undoLog)
+        if (e.addr == word_addr)
+            e.oldValue = value;
 }
 
 void
@@ -293,29 +291,6 @@ HtmContext::setTopValidated()
     top().status = TxStatus::Validated;
     validatedMask |= 1u << (depth() - 1);
     tracer->instant(id, TxTracer::Ev::Validated, depth());
-}
-
-const std::vector<Addr>&
-HtmContext::topWriteLines() const
-{
-    scratchLines.assign(top().writeLines.begin(), top().writeLines.end());
-    return scratchLines;
-}
-
-const std::vector<std::pair<Addr, Word>>&
-HtmContext::topWrittenWords() const
-{
-    scratchWords.clear();
-    if (cfg.version == VersionMode::WriteBuffer) {
-        scratchWords.reserve(top().writeBuffer.size());
-        scratchWords.assign(top().writeBuffer.begin(),
-                            top().writeBuffer.end());
-    } else {
-        scratchWords.reserve(top().writtenWords.size());
-        for (Addr w : top().writtenWords)
-            scratchWords.emplace_back(w, mem.read(w));
-    }
-    return scratchWords;
 }
 
 void
@@ -391,7 +366,7 @@ HtmContext::commitClosedTop()
 
     if (cfg.lazyMerge)
         return 0;
-    return cfg.mergePerLineCycles *
+    return HtmConfig::mergePerLineCycles *
            (child.readSetSize() + child.writeSetSize());
 }
 
@@ -431,7 +406,7 @@ HtmContext::commitTopToMemory()
                 }
             }
         }
-        truncateUndo(t.undoBase);
+        undoLog.resize(t.undoBase);
     }
     return cost;
 }
@@ -483,7 +458,7 @@ HtmContext::rollbackTo(int target)
             const UndoEntry& e = undoLog[i - 1];
             mem.write(e.addr, e.oldValue);
         }
-        truncateUndo(t.undoBase);
+        undoLog.resize(t.undoBase);
         if (l1)
             l1->clearLevel(lvl);
         if (l2)
@@ -523,8 +498,6 @@ HtmContext::raiseViolation(std::uint32_t mask, Addr where, CpuId attacker)
     }
     tracer->instant(id, TxTracer::Ev::ViolationRaised,
                     __builtin_ctz(mask) + 1, where, attacker);
-    if (violationHook)
-        violationHook();
 }
 
 bool
@@ -570,12 +543,6 @@ HtmContext::promotePendingForLevel(int lvl)
         vpending &= ~bit;
         vcurrent |= bit;
     }
-}
-
-void
-HtmContext::setViolationHook(std::function<void()> hook)
-{
-    violationHook = std::move(hook);
 }
 
 void
@@ -660,24 +627,7 @@ HtmContext::takeCapacityRestart()
 void
 HtmContext::pushUndo(Addr word_addr)
 {
-    undoIndex[word_addr].push_back(
-        static_cast<std::uint32_t>(undoLog.size()));
     undoLog.push_back(UndoEntry{word_addr, mem.read(word_addr)});
-}
-
-void
-HtmContext::truncateUndo(size_t new_size)
-{
-    while (undoLog.size() > new_size) {
-        const Addr word = undoLog.back().addr;
-        auto* entries = undoIndex.find(word);
-        // The newest entry for a word is necessarily the last index in
-        // its per-word list.
-        entries->pop_back();
-        if (entries->empty())
-            undoIndex.erase(word);
-        undoLog.pop_back();
-    }
 }
 
 void
@@ -687,7 +637,6 @@ HtmContext::resetAll()
         dropLevelFromIndex(lvl);
     levels.clear();
     undoLog.clear();
-    undoIndex.clear();
     vcurrent = 0;
     vpending = 0;
     vaddr = invalidAddr;

@@ -3,13 +3,18 @@
  * Per-CPU hardware transactional state: the nesting-level stack,
  * speculative versioning (write-buffer or undo-log), authoritative
  * read/write sets, and the violation mask registers of paper table 1.
+ *
+ * Each fact has one copy here: the levels' sets and the undo log.
+ * Queries about them scan those structures directly; the only derived
+ * copy is the ConflictDetector's sharer index, which every set change
+ * updates.
  */
 
 #ifndef TMSIM_HTM_HTM_CONTEXT_HH
 #define TMSIM_HTM_HTM_CONTEXT_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -150,12 +155,13 @@ class HtmContext
     bool wroteWordInPlace(Addr word_addr) const;
 
     /** UndoLog mode: the oldest (committed) value of @p word_addr in
-     *  this context's undo log. Only valid if wroteWordInPlace(). */
+     *  this context's undo log, found by a scan from the log's start.
+     *  Only valid if wroteWordInPlace(). */
     Word oldestUndoValue(Addr word_addr) const;
 
     /** UndoLog mode: overwrite every undo entry for @p word_addr so a
      *  later rollback restores @p value (strong-atomicity store over
-     *  an in-place speculative write). */
+     *  an in-place speculative write). Scans the whole log. */
     void patchUndoEntries(Addr word_addr, Word value);
 
     // --- commit and rollback (no timing; returns modelled costs) ---
@@ -163,13 +169,13 @@ class HtmContext
     void setTopValidated();
 
     /** Lines in the top level's write-set (broadcast / locking), in
-     *  first-insert order. The returned reference is a per-context
-     *  scratch buffer, valid until the next call on this context. */
-    const std::vector<Addr>& topWriteLines() const;
-
-    /** Words written by the top level, with their current values. Same
-     *  scratch-buffer lifetime as topWriteLines(). */
-    const std::vector<std::pair<Addr, Word>>& topWrittenWords() const;
+     *  first-insert order: a view of the set itself, valid until the
+     *  top level's write set changes or the level goes away. */
+    std::span<const Addr>
+    topWriteLines() const
+    {
+        return {top().writeLines.begin(), top().writeLines.end()};
+    }
 
     /** Discard the top level's read/write-set and speculative data
      *  (xrwsetclear), keeping the sharer index in sync. */
@@ -262,9 +268,6 @@ class HtmContext
      */
     void promotePendingForLevel(int lvl);
 
-    /** Hook invoked on every raiseViolation (Cpu wake-ups). */
-    void setViolationHook(std::function<void()> hook);
-
     // --- capacity / virtualisation ---
 
     /** Inform the context that a cache evicted a transactional line. */
@@ -328,10 +331,6 @@ class HtmContext
 
     void pushUndo(Addr word_addr);
 
-    /** Drop undo entries above @p new_size (commit resize / rollback
-     *  restore), keeping the per-word entry index consistent. */
-    void truncateUndo(size_t new_size);
-
     /** A violation report is only held while a mask bit backs it. */
     void
     maybeReleaseReport()
@@ -381,12 +380,6 @@ class HtmContext
     std::vector<TxLevel> levels;
     std::vector<UndoEntry> undoLog;
 
-    /** Word -> ascending undo-log entry indices for that word, kept in
-     *  lockstep with undoLog by pushUndo/truncateUndo. front() is the
-     *  oldest (committed-value) entry, so the strong-atomicity queries
-     *  cost O(entries for this word) instead of O(log length). */
-    FlatAddrMap<std::vector<std::uint32_t>> undoIndex;
-
     /** Cached validatedLevels() mask. */
     std::uint32_t validatedMask = 0;
 
@@ -395,11 +388,6 @@ class HtmContext
 
     /** Chip-wide contention manager (nullable; see setContentionManager). */
     ContentionManager* cmgr = nullptr;
-
-    /** Scratch buffers reused by topWriteLines/topWrittenWords so the
-     *  commit path does not allocate per transaction. */
-    mutable std::vector<Addr> scratchLines;
-    mutable std::vector<std::pair<Addr, Word>> scratchWords;
 
     // Violation registers.
     std::uint32_t vcurrent = 0;
@@ -410,7 +398,6 @@ class HtmContext
      *  not clobber it. */
     bool vheld = false;
     bool reporting = true;
-    std::function<void()> violationHook;
 
     /** Lifecycle-event sink (never null; defaults to TxTracer::nil()). */
     TxTracer* tracer;

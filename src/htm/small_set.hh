@@ -13,7 +13,7 @@
  *    on contiguous memory beats any hash — and an open-addressed
  *    index of element positions once it grows past scanMax.
  *  - FlatAddrMap<V>: the same layout over (Addr, V) entries, used for
- *    the write buffer and the undo-log index.
+ *    the write buffer.
  *
  * Iteration visits elements in insertion order (erase() swap-removes,
  * so order is only stable for sets that never erase — which is what

@@ -2,9 +2,8 @@
 
 namespace tmsim {
 
-Bus::Bus(EventQueue& eq_, const BusConfig& cfg_, StatsRegistry& stats)
+Bus::Bus(EventQueue& eq_, StatsRegistry& stats)
     : eq(eq_),
-      cfg(cfg_),
       arbiter(eq_),
       token(eq_),
       statTransfers(stats.counter("bus.transfers")),
@@ -19,12 +18,12 @@ Bus::lineFetch(Addr line_bytes)
     // Request phase: one address beat on the bus.
     co_await arbiter.acquire();
     ++statTransfers;
-    statBusyCycles += cfg.arbitrationLatency + 1;
-    co_await Delay{eq, cfg.arbitrationLatency + 1};
+    statBusyCycles += arbitrationLatency + 1;
+    co_await Delay{eq, arbitrationLatency + 1};
     arbiter.release();
 
     // DRAM access proceeds off the bus.
-    co_await Delay{eq, cfg.memoryLatency};
+    co_await Delay{eq, memoryLatency};
 
     // Response phase: data beats.
     Cycles beats = beatsForLine(line_bytes);
@@ -39,8 +38,8 @@ Bus::occupy(Cycles beats)
 {
     co_await arbiter.acquire();
     ++statTransfers;
-    statBusyCycles += cfg.arbitrationLatency + beats;
-    co_await Delay{eq, cfg.arbitrationLatency + beats};
+    statBusyCycles += arbitrationLatency + beats;
+    co_await Delay{eq, arbitrationLatency + beats};
     arbiter.release();
 }
 

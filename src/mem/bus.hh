@@ -29,7 +29,6 @@ class FifoResource
     FifoResource& operator=(const FifoResource&) = delete;
 
     bool busy() const { return held; }
-    size_t queueDepth() const { return waiters.size(); }
 
     /** Awaitable that grants the resource in FIFO order. */
     struct Acquire
@@ -82,17 +81,6 @@ class FifoResource
     std::deque<std::coroutine_handle<>> waiters;
 };
 
-/** Bus and memory timing parameters (paper section 7 machine model). */
-struct BusConfig
-{
-    /** Bus width in bytes (paper: 16-byte split-transaction bus). */
-    int widthBytes = 16;
-    /** Arbitration latency per granted request. */
-    Cycles arbitrationLatency = 3;
-    /** DRAM access latency, overlapped with other bus traffic. */
-    Cycles memoryLatency = 100;
-};
-
 /**
  * The chip-wide interconnect. Requests and responses occupy the bus
  * separately so independent memory accesses overlap with DRAM latency
@@ -102,15 +90,22 @@ struct BusConfig
 class Bus
 {
   public:
-    Bus(EventQueue& eq, const BusConfig& cfg, StatsRegistry& stats);
+    // Timing of the paper's section 7 machine model.
 
-    const BusConfig& config() const { return cfg; }
+    /** Bus width in bytes (paper: 16-byte split-transaction bus). */
+    static constexpr Addr widthBytes = 16;
+    /** Arbitration latency per granted request. */
+    static constexpr Cycles arbitrationLatency = 3;
+    /** DRAM access latency, overlapped with other bus traffic. */
+    static constexpr Cycles memoryLatency = 100;
+
+    Bus(EventQueue& eq, StatsRegistry& stats);
 
     /** Beats needed to move one cache line of @p line_bytes. */
-    Cycles
-    beatsForLine(Addr line_bytes) const
+    static Cycles
+    beatsForLine(Addr line_bytes)
     {
-        return (line_bytes + cfg.widthBytes - 1) / cfg.widthBytes;
+        return (line_bytes + widthBytes - 1) / widthBytes;
     }
 
     /**
@@ -130,7 +125,6 @@ class Bus
 
   private:
     EventQueue& eq;
-    BusConfig cfg;
     FifoResource arbiter;
     FifoResource token;
 

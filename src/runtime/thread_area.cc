@@ -3,17 +3,14 @@
 namespace tmsim {
 
 ThreadArea
-ThreadArea::allocate(BackingStore& mem, size_t max_frames,
-                     size_t stack_words)
+ThreadArea::allocate(BackingStore& mem)
 {
     ThreadArea area;
-    area.maxFrames = max_frames;
-    area.stackWords = stack_words;
     area.regBase = mem.allocate(8 * wordBytes, 64);
-    area.tcbBase = mem.allocate(max_frames * frameWords * wordBytes, 64);
-    area.chBase = mem.allocate(stack_words * wordBytes, 64);
-    area.vhBase = mem.allocate(stack_words * wordBytes, 64);
-    area.ahBase = mem.allocate(stack_words * wordBytes, 64);
+    area.tcbBase = mem.allocate(tcbFrames * frameWords * wordBytes, 64);
+    area.chBase = mem.allocate(stackWords * wordBytes, 64);
+    area.vhBase = mem.allocate(stackWords * wordBytes, 64);
+    area.ahBase = mem.allocate(stackWords * wordBytes, 64);
     return area;
 }
 

@@ -21,8 +21,8 @@ namespace tmsim {
 
 struct ThreadArea
 {
-    /** Pointer-field block: [0] xtcbptr_top, [1] xchptr_top,
-     *  [2] xvhptr_top, [3] xahptr_top. */
+    /** Pointer-field block: [0] xtcbptr_top (kept in a register by the
+     *  runtime), [1] xchptr_top, [2] xvhptr_top, [3] xahptr_top. */
     Addr regBase = 0;
     /** Base of the TCB frame stack. */
     Addr tcbBase = 0;
@@ -31,16 +31,17 @@ struct ThreadArea
     Addr vhBase = 0;
     Addr ahBase = 0;
 
-    size_t maxFrames = 0;
-    size_t stackWords = 0;
+    /** TCB frames carved per thread. */
+    static constexpr size_t tcbFrames = 16;
+    /** Words per handler stack. */
+    static constexpr size_t stackWords = 2048;
 
     /** Words per TCB frame (status + three handler-top snapshots +
      *  checkpoint slots). */
     static constexpr size_t frameWords = 8;
 
     /** Carve a thread area out of simulated memory. */
-    static ThreadArea allocate(BackingStore& mem, size_t max_frames = 16,
-                               size_t stack_words = 2048);
+    static ThreadArea allocate(BackingStore& mem);
 
     Addr
     tcbFrameAddr(size_t frame) const
@@ -48,7 +49,6 @@ struct ThreadArea
         return tcbBase + frame * frameWords * wordBytes;
     }
 
-    Addr tcbTopField() const { return regBase + 0 * wordBytes; }
     Addr chTopField() const { return regBase + 1 * wordBytes; }
     Addr vhTopField() const { return regBase + 2 * wordBytes; }
     Addr ahTopField() const { return regBase + 3 * wordBytes; }

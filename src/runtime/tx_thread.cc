@@ -25,56 +25,47 @@ TxThread::TxThread(Cpu& cpu)
 }
 
 Task<TxOutcome>
-TxThread::atomic(TxBody body, TxOpts opts)
+TxThread::atomic(TxBody body)
 {
-    return runTx(TxKind::Closed, std::move(body), opts);
+    return runTx(TxKind::Closed, std::move(body));
 }
 
 Task<TxOutcome>
-TxThread::atomicOpen(TxBody body, TxOpts opts)
+TxThread::atomicOpen(TxBody body)
 {
-    return runTx(TxKind::Open, std::move(body), opts);
+    return runTx(TxKind::Open, std::move(body));
 }
 
 Task<TxOutcome>
-TxThread::atomicOrElse(TxBody body, TxBody alt, TxOpts opts)
+TxThread::atomicOrElse(TxBody body, TxBody alt)
 {
     // tryatomic / orElse (paper section 3 "Contention and Error
     // Management", section 5): run the alternate path when the primary
     // transaction aborts voluntarily.
-    TxOutcome out = co_await runTx(TxKind::Closed, std::move(body), opts);
+    TxOutcome out = co_await runTx(TxKind::Closed, std::move(body));
     if (out.result != TxResult::Aborted)
         co_return out;
-    TxOutcome altOut =
-        co_await runTx(TxKind::Closed, std::move(alt), opts);
+    TxOutcome altOut = co_await runTx(TxKind::Closed, std::move(alt));
     altOut.retries += out.retries;
     co_return altOut;
 }
 
 Task<TxOutcome>
-TxThread::serializedAtomic(TxBody body, TxOpts opts)
+TxThread::serializedAtomic(TxBody body)
 {
     FifoResource& lock = cpuRef.memSystem().serializeLock();
     co_await lock.acquire();
     // A rollback of an enclosing level leaves this frame mid-section.
     OnUnwind unlock{[&lock] { lock.release(); }};
-    const TxOutcome out =
-        co_await runTx(TxKind::Closed, std::move(body), opts);
+    const TxOutcome out = co_await runTx(TxKind::Closed, std::move(body));
     unlock.dismiss();
     lock.release();
     co_return out;
 }
 
 Task<TxOutcome>
-TxThread::runTx(TxKind kind, TxBody body, TxOpts opts)
+TxThread::runTx(TxKind kind, TxBody body)
 {
-    enum class Next
-    {
-        Retry,
-        RetryWait,
-        Return,
-    };
-
     const std::coroutine_handle<> self = co_await CurrentHandle{};
     int retries = 0;
     for (;;) {
@@ -108,28 +99,11 @@ TxThread::runTx(TxKind kind, TxBody body, TxOpts opts)
             sig = Signal{false, 0};
         }
 
-        Next next;
-        TxOutcome out;
-        if (!sig.abort) {
-            ++retries;
-            if (opts.maxRetries && retries > opts.maxRetries) {
-                next = Next::Return;
-                out = TxOutcome{TxResult::RetriesExhausted, 0, retries};
-            } else {
-                next = Next::Retry;
-            }
-        } else if (sig.code == retryYieldCode) {
-            ++retries;
-            next = Next::RetryWait;
-        } else {
-            next = Next::Return;
-            out = TxOutcome{TxResult::Aborted, sig.code, retries};
-        }
-
-        if (next == Next::Return) {
-            // This attempt sequence is over without a commit (voluntary
-            // abort that will not retry, or retry budget exhausted):
-            // drop the contention manager's fairness record so stale
+        const bool retryWait = sig.abort && sig.code == retryYieldCode;
+        if (sig.abort && !retryWait) {
+            // This attempt sequence is over without a commit (a
+            // voluntary abort that will not retry): drop the
+            // contention manager's fairness record so stale
             // seniority/karma cannot leak into an unrelated later
             // transaction. Only when we actually left the outermost
             // level — an inner abort with a live enclosing transaction
@@ -137,14 +111,14 @@ TxThread::runTx(TxKind kind, TxBody body, TxOpts opts)
             if (!cpuRef.htm().inTx())
                 cpuRef.memSystem().detector().noteSequenceAbandoned(
                     cpuRef.id());
-            co_return out;
+            co_return TxOutcome{TxResult::Aborted, sig.code, retries};
         }
-        if (next == Next::RetryWait) {
+        ++retries;
+        if (retryWait) {
             // Conditional synchronisation: park until woken, then
             // re-execute the body from scratch.
             co_await WaitOn{retryWaker};
-        } else if (opts.autoBackoff &&
-                   !cpuRef.lastRollbackWasCapacity()) {
+        } else if (!cpuRef.lastRollbackWasCapacity()) {
             // Capacity restarts retry immediately: waiting cannot
             // shrink the footprint, and the restarted attempt runs
             // virtualised (caps lifted), so it is guaranteed to fit.

@@ -61,7 +61,6 @@ enum class TxResult
 {
     Committed,
     Aborted,
-    RetriesExhausted,
 };
 
 struct TxOutcome
@@ -71,14 +70,6 @@ struct TxOutcome
     int retries = 0;
 
     bool committed() const { return result == TxResult::Committed; }
-};
-
-struct TxOpts
-{
-    /** 0 = retry until committed or aborted. */
-    int maxRetries = 0;
-    /** Exponential backoff between retries (eager configs). */
-    bool autoBackoff = true;
 };
 
 /**
@@ -133,25 +124,26 @@ class TxThread
     // --- transactions ---
 
     /** Run @p body as a closed-nested transaction, retrying on
-     *  violation until it commits or aborts. */
-    Task<TxOutcome> atomic(TxBody body, TxOpts opts = TxOpts{});
+     *  violation until it commits or aborts. Between retries it backs
+     *  off as the contention manager says, unless the Machine's
+     *  HtmConfig::retryBackoff is off. */
+    Task<TxOutcome> atomic(TxBody body);
 
     /** Run @p body as an open-nested transaction. */
-    Task<TxOutcome> atomicOpen(TxBody body, TxOpts opts = TxOpts{});
+    Task<TxOutcome> atomicOpen(TxBody body);
 
     /**
      * tryatomic/orElse: run @p body; if it aborts voluntarily, run
      * @p alt instead (violations still retry each path normally).
      */
-    Task<TxOutcome> atomicOrElse(TxBody body, TxBody alt,
-                                 TxOpts opts = TxOpts{});
+    Task<TxOutcome> atomicOrElse(TxBody body, TxBody alt);
 
     /**
      * Baseline for systems without transactional I/O support: the
      * whole transaction runs while holding the global serialization
      * resource (conventional HTMs "revert to sequential execution").
      */
-    Task<TxOutcome> serializedAtomic(TxBody body, TxOpts opts = TxOpts{});
+    Task<TxOutcome> serializedAtomic(TxBody body);
 
     // --- handler registration (must be inside a transaction) ---
 
@@ -195,7 +187,7 @@ class TxThread
         Word code;
     };
 
-    Task<TxOutcome> runTx(TxKind kind, TxBody body, TxOpts opts);
+    Task<TxOutcome> runTx(TxKind kind, TxBody body);
     SimTask beginTx(TxKind kind, std::coroutine_handle<> restart);
     SimTask commitSequence();
     SimTask backoff(int retries);

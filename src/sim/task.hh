@@ -141,9 +141,6 @@ class Task
 
     ~Task() { destroy(); }
 
-    /** True if a coroutine is attached. */
-    bool valid() const { return static_cast<bool>(handle); }
-
     /** True once the coroutine has run to completion (or thrown). */
     bool done() const { return handle && handle.promise().completed; }
 
@@ -373,9 +370,6 @@ class Waker
     {
         return std::exchange(pending, false);
     }
-
-    /** Drop the parked coroutine without resuming (owner is unwinding). */
-    void disarm() { handle = {}; }
 
   private:
     EventQueue* eq;

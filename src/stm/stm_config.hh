@@ -1,8 +1,8 @@
 /**
  * @file
- * Configuration for the native STM backend (src/stm): table sizes,
- * spin budgets, the per-run watchdog deadline, and the pluggable
- * contention hook invoked between retries of an atomic section.
+ * Configuration for the native STM backend (src/stm): the heap size
+ * and the per-run watchdog deadline, plus the fixed table size and
+ * spin budget.
  */
 
 #ifndef TMSIM_STM_STM_CONFIG_HH
@@ -10,12 +10,11 @@
 
 #include <chrono>
 #include <cstddef>
-#include <functional>
 
 namespace tmsim {
 
 /**
- * Tuning knobs of one StmRuntime instance. Defaults are sized for the
+ * Settings of one StmRuntime instance. Defaults are sized for the
  * fuzz corpus and the scaling benchmark; everything is host-side (no
  * simulated cost model).
  */
@@ -24,27 +23,19 @@ struct StmConfig
     /** Size of the word-addressable transactional heap. */
     std::size_t memWords = std::size_t{1} << 20;
 
-    /** Ownership-record count; must be a power of two. Aliasing two
-     *  addresses onto one orec is safe (false conflicts only). */
-    std::size_t numOrecs = std::size_t{1} << 16;
-
-    /** Bounded spin (iterations) on a locked orec before the waiter
-     *  gives up and treats the lock as a conflict. */
-    int spinTries = 4096;
-
     /** Watchdog: an operation that cannot make progress within this
      *  budget throws StmHangError instead of spinning forever. The
      *  lock protocol cannot deadlock (sorted acquisition), so this
      *  only fires on livelock pathologies or a wedged host. */
     std::chrono::milliseconds opTimeout{10'000};
 
-    /**
-     * Contention hook: called by the atomic()/atomicOpen() retry
-     * drivers after a rolled-back attempt, before the re-execution.
-     * Replaceable by embedders (benchmarks install their own policy);
-     * when empty, StmThread applies capped exponential backoff.
-     */
-    std::function<void(int tid, int retries)> onRetry;
+    /** Ownership-record count, a power of two. Aliasing two addresses
+     *  onto one orec is safe (false conflicts only). */
+    static constexpr std::size_t numOrecs = std::size_t{1} << 16;
+
+    /** Bounded spin (iterations) on a locked orec at commit before
+     *  the committer gives up and treats the lock as a conflict. */
+    static constexpr int spinTries = 4096;
 };
 
 } // namespace tmsim

@@ -31,25 +31,19 @@ namespace {
 
 constexpr int maxStmThreads = 64;
 
-std::size_t
-roundUpPow2(std::size_t v)
-{
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
+static_assert((StmConfig::numOrecs & (StmConfig::numOrecs - 1)) == 0,
+              "the orec index is a mask");
 
 } // namespace
 
 StmRuntime::StmRuntime(StmConfig config)
     : cfg(std::move(config)),
       memWords(cfg.memWords),
-      orecTable(roundUpPow2(cfg.numOrecs)),
+      orecTable(StmConfig::numOrecs),
       threadStats(maxStmThreads)
 {
-    if (cfg.memWords == 0 || cfg.numOrecs == 0)
-        fatal("stm: memWords and numOrecs must be nonzero");
+    if (cfg.memWords == 0)
+        fatal("stm: memWords must be nonzero");
     for (auto& w : memWords)
         w.store(0, std::memory_order_relaxed);
     armWatchdog();

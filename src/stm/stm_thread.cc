@@ -307,7 +307,7 @@ StmThread::xvalidate()
                     }
                     continue; // CAS raced, re-examine
                 }
-                if (tries >= rt.config().spinTries)
+                if (tries >= StmConfig::spinTries)
                     break; // treat as a conflict
                 spinOrHang(tries, "commit lock acquisition");
             }
@@ -455,7 +455,7 @@ StmThread::commitSequence()
 // --- retry drivers ---------------------------------------------------
 
 void
-StmThread::defaultBackoff(int retries)
+StmThread::backoff(int retries)
 {
     const int cap = retries < 16 ? retries : 16;
     const std::uint64_t spins =
@@ -492,10 +492,7 @@ StmThread::runTx(bool open, const StmTxBody& body)
                 throw;
             return StmTxOutcome{StmTxResult::Aborted, a.code, retries};
         }
-        if (rt.config().onRetry)
-            rt.config().onRetry(tidVal, retries);
-        else
-            defaultBackoff(retries);
+        backoff(retries);
         checkDeadline("transaction retry");
     }
 }

@@ -197,7 +197,8 @@ class StmThread
     StmTxOutcome runTx(bool open, const StmTxBody& body);
     /** xvalidate + commit handlers + xcommit, per paper section 4.2. */
     void commitSequence();
-    void defaultBackoff(int retries);
+    /** Capped exponential spin between retries of an atomic section. */
+    void backoff(int retries);
 
     /** Staged-write lookup across all live levels, newest first. */
     bool findStagedWrite(Addr a, Word& out) const;

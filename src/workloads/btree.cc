@@ -422,11 +422,4 @@ SimBTree::size(const BackingStore& mem) const
     return items(mem).size();
 }
 
-Word
-SimBTree::nodesAllocated(const BackingStore& mem) const
-{
-    return (mem.read(poolNextAddr) - poolBase) /
-           (nodeWords * wordBytes);
-}
-
 } // namespace tmsim

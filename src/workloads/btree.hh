@@ -62,9 +62,6 @@ class SimBTree
     /** Number of keys stored. */
     size_t size(const BackingStore& mem) const;
 
-    /** Nodes allocated from the pool (includes leaked ones). */
-    Word nodesAllocated(const BackingStore& mem) const;
-
   private:
     // Node layout, in words:
     //   [0]            packed header: numKeys | (isLeaf ? 1<<32 : 0)

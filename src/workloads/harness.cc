@@ -29,14 +29,6 @@ namedKernels()
 }
 
 std::unique_ptr<Kernel>
-makeNamedKernel(const std::string& name, std::uint64_t fuzz_seed)
-{
-    KernelParams kp;
-    kp.fuzzSeed = fuzz_seed;
-    return makeNamedKernel(name, kp);
-}
-
-std::unique_ptr<Kernel>
 makeNamedKernel(const std::string& name, const KernelParams& kp)
 {
     const std::uint64_t fuzz_seed = kp.fuzzSeed;

@@ -86,14 +86,9 @@ struct KernelParams
     double zipfS = -1.0;
 };
 
-/** Instantiate a bundled kernel by name (nullptr if unknown).
- *  @p fuzz_seed parameterises the 'fuzz' kernel's program draw. */
+/** Instantiate a bundled kernel by name (nullptr if unknown). */
 std::unique_ptr<Kernel> makeNamedKernel(const std::string& name,
-                                        std::uint64_t fuzz_seed = 1);
-
-/** Instantiate a bundled kernel by name with explicit knobs. */
-std::unique_ptr<Kernel> makeNamedKernel(const std::string& name,
-                                        const KernelParams& kp);
+                                        const KernelParams& kp = {});
 
 /** One bar of the paper's figure 5. */
 struct Fig5Row

@@ -361,5 +361,5 @@ TEST(CapacityMachine, OverflowCheckPenaltyChargedAndCounted)
     // charged: overflowCheckPenalty (8) extra cycles, one counter tick.
     EXPECT_EQ(baseChecks, 0u);
     EXPECT_EQ(overflowChecks, 1u);
-    EXPECT_EQ(slow - base, HtmConfig().overflowCheckPenalty);
+    EXPECT_EQ(slow - base, HtmConfig::overflowCheckPenalty);
 }

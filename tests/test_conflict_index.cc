@@ -1,6 +1,6 @@
 /**
  * @file
- * Randomized property test for the signature-filtered sharer index:
+ * Randomized property test for the conflict detector's sharer index:
  * after every operation in a long random sequence of begins, reads,
  * writes, releases, closed/open commits, rollbacks, set clears,
  * evictions and resets, the detector's inverted index must agree
@@ -8,14 +8,15 @@
  * levelsWriting), and the cached validatedLevels mask with the level
  * statuses.
  *
- * The index and signatures are pure acceleration structures — any
- * divergence from the scan is a correctness bug, so the test asserts
- * zero divergence over >= 10k operations per configuration.
+ * The index is a pure acceleration structure — any divergence from
+ * the scan is a correctness bug, so the test asserts zero divergence
+ * over >= 10k operations per configuration.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/machine.hh"
@@ -189,9 +190,9 @@ TEST(ConflictIndex, RandomOpsEagerOlderWins)
     runRandomOps(cfg, 0xC0FFEE04ull);
 }
 
-/** The signature stats count the detector's chip-wide filter only: a
- *  context answering queries about its own sets touches neither. */
-TEST(ConflictIndex, OwnSetQueriesLeaveSignatureStatsAlone)
+/** htm.index_hits counts the detector's queries only: a context
+ *  answering queries about its own sets does not touch it. */
+TEST(ConflictIndex, OwnSetQueriesLeaveIndexHitsAlone)
 {
     Harness h(HtmConfig::eagerUndoLog());
     HtmContext& ctx = h.m.cpu(0).htm();
@@ -200,8 +201,7 @@ TEST(ConflictIndex, OwnSetQueriesLeaveSignatureStatsAlone)
     ctx.specWrite(h.base + h.lineBytes, 1);
 
     const StatsRegistry& st = h.m.stats();
-    const std::uint64_t filtered = st.value("htm.sig_filtered");
-    const std::uint64_t falsePositives = st.value("htm.sig_false_positives");
+    const std::uint64_t hits = st.value("htm.index_hits");
     int untracked = 0;
     for (Addr u : h.units) {
         if (u == ctx.trackUnit(h.base) ||
@@ -213,8 +213,10 @@ TEST(ConflictIndex, OwnSetQueriesLeaveSignatureStatsAlone)
         EXPECT_FALSE(ctx.wroteWordInPlace(u));
     }
     EXPECT_GT(untracked, 0);
-    EXPECT_EQ(st.value("htm.sig_filtered"), filtered);
-    EXPECT_EQ(st.value("htm.sig_false_positives"), falsePositives);
+    // The two units the context does hold answer from its own sets too.
+    EXPECT_EQ(ctx.levelsReading(ctx.trackUnit(h.base)), 1u);
+    EXPECT_EQ(ctx.levelsWriting(ctx.trackUnit(h.base + h.lineBytes)), 1u);
+    EXPECT_EQ(st.value("htm.index_hits"), hits);
 }
 
 /** The detector's query paths must see exactly what the index holds:
@@ -238,7 +240,7 @@ TEST(ConflictIndex, BroadcastMatchesBruteForce)
 
         // Expected victims via brute-force scan, before broadcasting.
         std::vector<std::uint32_t> expected(kCpus, 0);
-        const std::vector<Addr> lines = committer.topWriteLines();
+        const std::span<const Addr> lines = committer.topWriteLines();
         for (int c = 1; c < kCpus; ++c) {
             HtmContext& ctx = h.m.cpu(c).htm();
             for (Addr line : lines)

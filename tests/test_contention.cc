@@ -464,8 +464,7 @@ TEST(ContentionOverflow, HandlerStackOverflowAbortsTransactionNotSim)
                     },
                     hugeArgs);
                 bodyResumedAfterOverflow = true;
-            },
-            TxOpts{});
+            });
 
         // The thread (and the sim) survive: a later transaction runs.
         TxOutcome ok = co_await t0.atomic(

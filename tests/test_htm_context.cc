@@ -192,9 +192,10 @@ TEST(HtmContextUnit, ReportReleasesWhenEveryMaskBitClears)
 
 TEST(HtmContextUnit, UndoIndexSurvivesCommitAndRollbackResizes)
 {
-    // oldestUndoValue / patchUndoEntries are index-backed; the index
-    // must stay consistent as nested levels push, commit (merge) and
-    // roll back undo regions for the same word.
+    // oldestUndoValue / patchUndoEntries scan the undo log itself, so
+    // they must see exactly the entries that survive as nested levels
+    // push, commit (merge) and roll back undo regions for the same
+    // word: the oldest surviving entry holds the committed value.
     HtmConfig cfg = HtmConfig::eagerUndoLog();
     Fixture f(cfg);
     f.mem.write(0x100, 7);

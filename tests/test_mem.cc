@@ -729,7 +729,7 @@ TEST(Bus, ContentionSerialisesTransfers)
 {
     EventQueue eq;
     StatsRegistry stats;
-    Bus bus(eq, BusConfig{}, stats);
+    Bus bus(eq, stats);
 
     Tick aDone = 0, bDone = 0;
     auto xfer = [&](Tick& done) -> SimTask {
@@ -745,15 +745,15 @@ TEST(Bus, ContentionSerialisesTransfers)
     // least the occupancy.
     EXPECT_GE(bDone, aDone + 8);
     EXPECT_EQ(stats.value("bus.transfers"), 2u);
-    EXPECT_GE(stats.value("bus.busy_cycles"), 16u);
+    EXPECT_EQ(stats.value("bus.busy_cycles"),
+              2 * (Bus::arbitrationLatency + 8));
 }
 
 TEST(Bus, LineFetchOverlapsDramWithOtherTraffic)
 {
     EventQueue eq;
     StatsRegistry stats;
-    BusConfig cfg;
-    Bus bus(eq, cfg, stats);
+    Bus bus(eq, stats);
 
     // Two concurrent line fetches: split transactions overlap the DRAM
     // latency, so the total is far less than 2x a serial fetch.
@@ -767,7 +767,7 @@ TEST(Bus, LineFetchOverlapsDramWithOtherTraffic)
     a.start();
     b.start();
     eq.run();
-    Tick serialEstimate = 2 * (cfg.arbitrationLatency + 1 +
-                               cfg.memoryLatency + 2);
+    Tick serialEstimate = 2 * (Bus::arbitrationLatency + 1 +
+                               Bus::memoryLatency + Bus::beatsForLine(32));
     EXPECT_LT(std::max(t0, t1), serialEstimate);
 }

@@ -30,6 +30,16 @@ config(HtmConfig htm, int cpus = 2)
     return cfg;
 }
 
+/** paperLazy() without the runtime's retry backoff, so a retry
+ *  re-enters the body at once. */
+HtmConfig
+lazyNoBackoff()
+{
+    HtmConfig htm = HtmConfig::paperLazy();
+    htm.retryBackoff = false;
+    return htm;
+}
+
 } // namespace
 
 TEST(Runtime, AtomicCommitsSimpleTransaction)
@@ -204,34 +214,13 @@ TEST(Runtime, RetryYieldParksUntilWake)
     EXPECT_EQ(bodyRuns, 2);
 }
 
-TEST(Runtime, MaxRetriesExhausts)
-{
-    Machine m(config(HtmConfig::paperLazy()));
-    TxThread t0(m.cpu(0));
-    Addr a = m.memory().allocate(64);
-
-    m.spawn(0, [&](Cpu& c) -> SimTask {
-        TxOutcome out = co_await t0.atomic(
-            [&](TxThread& t) -> SimTask {
-                co_await t.ld(a);
-                // Force a violation against ourselves each attempt.
-                c.htm().raiseViolation(0x1, c.htm().lineOf(a));
-                co_await t.work(1);
-            },
-            TxOpts{2, false});
-        EXPECT_EQ(out.result, TxResult::RetriesExhausted);
-        EXPECT_EQ(out.retries, 3);
-    });
-    m.run();
-}
-
 TEST(Runtime, RollbackJumpsPastBodyCatchAndDestroysFramesInnermostFirst)
 {
     // A rollback of a level the runtime owns is a jump to atomic()'s
     // retry loop: a try/catch in the body never sees it, while every
     // abandoned frame's destructors run once per rollback, innermost
     // first, as exception unwinding would run them.
-    Machine m(config(HtmConfig::paperLazy(), 1));
+    Machine m(config(lazyNoBackoff(), 1));
     TxThread t0(m.cpu(0));
     const Addr a = m.memory().allocate(64);
     std::vector<std::string> destroyed;
@@ -264,8 +253,7 @@ TEST(Runtime, RollbackJumpsPastBodyCatchAndDestroysFramesInnermostFirst)
                 Probe probe{destroyed, "body"};
                 co_await helper(t);
                 co_await t.st(a, static_cast<Word>(attempts));
-            },
-            TxOpts{0, false});
+            });
         EXPECT_TRUE(out.committed());
         EXPECT_EQ(out.retries, 2);
     });
@@ -369,7 +357,7 @@ TEST(RuntimeCalibration, HandlerFreeCommitCostsTenInstructions)
 
 TEST(RuntimeCalibration, HandlerFreeRollbackCostsSixInstructions)
 {
-    Machine m(config(HtmConfig::paperLazy(), 1));
+    Machine m(config(lazyNoBackoff(), 1));
     TxThread t0(m.cpu(0));
     std::uint64_t cost = 0;
     bool first = true;
@@ -392,8 +380,7 @@ TEST(RuntimeCalibration, HandlerFreeRollbackCostsSixInstructions)
                     (void)before;
                 }
                 co_return;
-            },
-            TxOpts{0, false});
+            });
         (void)cost;
     });
     // Count precisely with counters around the violation instead.
@@ -407,7 +394,7 @@ TEST(RuntimeCalibration, RollbackInstructionDelta)
     // Precise rollback cost: instret delta between violation raise and
     // the retry entering the body again, minus the 6-instruction begin
     // of the retry.
-    Machine m(config(HtmConfig::paperLazy(), 1));
+    Machine m(config(lazyNoBackoff(), 1));
     TxThread t0(m.cpu(0));
     std::uint64_t raisePoint = 0;
     std::uint64_t retryPoint = 0;
@@ -425,8 +412,7 @@ TEST(RuntimeCalibration, RollbackInstructionDelta)
                     retryPoint = c.instret();
                 }
                 co_return;
-            },
-            TxOpts{0, false});
+            });
     });
     m.run();
     // raise -> [rollback: 6 instr] -> [retry begin: 6 instr] -> body

@@ -164,7 +164,7 @@ TEST(Trace, OpClassDistributionsPartitionTheTotals)
     // "short", so the per-class histograms must partition the
     // chip-wide commit-duration and restart-latency histograms
     // sample-for-sample (and cycle-for-cycle).
-    auto kernel = makeNamedKernel("contend-mixed", 1);
+    auto kernel = makeNamedKernel("contend-mixed");
     ASSERT_NE(kernel, nullptr);
     StatsRegistry s;
     RunResult r =

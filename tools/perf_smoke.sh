@@ -13,8 +13,10 @@
 #
 # The measurement is not discarded: both the wall ms and the derived
 # seeds/s are appended to the perf-trend file (BENCH_TREND.json, or
-# TMSIM_TREND_FILE) via tools/bench_trend, so every smoke run extends
-# the recorded trajectory.
+# TMSIM_TREND_FILE) via tools/bench_trend, as fuzz200_ms and
+# fuzz200_seeds_per_second, so every smoke run extends the recorded
+# trajectory. The names carry the batch size: fuzz_seeds_per_second is
+# BENCH_hotpath.json's 1000-seed batch, a different measurement.
 #
 # Usage:
 #   tools/perf_smoke.sh <path-to-tmsim_fuzz>
@@ -65,7 +67,7 @@ seeds_per_s=$(python3 -c "print(round(200 / (${best_ms} / 1000.0), 1))")
     --direction lower --baseline "${baseline_ms}" \
     --source perf_smoke || true
 "${repo_root}/tools/bench_trend" record \
-    --metric fuzz_seeds_per_second --value "${seeds_per_s}" \
+    --metric fuzz200_seeds_per_second --value "${seeds_per_s}" \
     --unit seeds/s --direction higher --source perf_smoke || true
 
 if [ "${best_ms}" -gt "${limit_ms}" ]; then
