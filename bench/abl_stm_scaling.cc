@@ -57,6 +57,11 @@ struct RunResult
 using KernelFn = RunResult (*)(int threads, int ops_per_thread,
                                int think_us);
 
+/** Per-thread counters sit this far apart (64 words), so no two share
+ *  a host cache line and their orecs, which are indexed by word, do
+ *  not sit side by side either. */
+constexpr Addr counterStride = 64 * wordBytes;
+
 /** Spawn @p threads host threads, run @p body(tid) in each, and time
  *  the span from release to last join. */
 template <typename Body>
@@ -93,11 +98,11 @@ RunResult
 kernelLatency(int threads, int ops_per_thread, int think_us)
 {
     StmRuntime rt;
-    const Addr base = rt.allocate(64 * wordBytes);
+    const Addr base = rt.allocate(64 * counterStride);
     rt.armWatchdog();
     const double s = timeThreads(threads, [&](int tid) {
         StmThread t(rt, tid);
-        const Addr mine = base + static_cast<Addr>(tid) * wordBytes;
+        const Addr mine = base + static_cast<Addr>(tid) * counterStride;
         for (int i = 0; i < ops_per_thread; ++i) {
             std::this_thread::sleep_for(
                 std::chrono::microseconds(think_us));
@@ -114,11 +119,11 @@ RunResult
 kernelDisjoint(int threads, int ops_per_thread, int /*think_us*/)
 {
     StmRuntime rt;
-    const Addr base = rt.allocate(64 * wordBytes);
+    const Addr base = rt.allocate(64 * counterStride);
     rt.armWatchdog();
     const double s = timeThreads(threads, [&](int tid) {
         StmThread t(rt, tid);
-        const Addr mine = base + static_cast<Addr>(tid) * wordBytes;
+        const Addr mine = base + static_cast<Addr>(tid) * counterStride;
         for (int i = 0; i < ops_per_thread; ++i) {
             (void)t.atomic([&](StmThread& th) {
                 th.txStore(mine, th.txLoad(mine) + 1);

@@ -7,8 +7,9 @@
  *  - Distribution: an HdrHistogram-style log-linear histogram with
  *    min/max/mean and bounded-error quantiles, for quantities whose
  *    shape matters (set sizes, durations, latencies).
- *  - Formula: a derived ratio of two counter sum() patterns, evaluated
- *    lazily at dump time so it never goes stale.
+ *  - Formula: a derived ratio of two counter sum() patterns (or a
+ *    Jain fairness index over one), evaluated lazily at dump time so
+ *    it never goes stale.
  *
  * Both the text dump and the JSON dump lead with a schema version
  * header (see statsSchemaVersion) so downstream parsers can detect
@@ -20,7 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -43,7 +44,8 @@ std::string cpuStatName(int cpu, std::string_view leaf);
 /**
  * A registry of named statistics. Components register stats at
  * construction; the Machine dumps the registry after a run. Returned
- * references stay valid for the registry's lifetime.
+ * references stay valid for the registry's lifetime, across later
+ * registrations, merges and moves of the registry.
  */
 class StatsRegistry
 {
@@ -235,71 +237,61 @@ class StatsRegistry
         std::vector<std::uint64_t> bucketCounts;
     };
 
-    /**
-     * A derived statistic evaluated against the owning registry at
-     * dump/value time. Ratio formulas divide two counter sum()
-     * patterns ("prefix*suffix"); Jain-fairness formulas compute
-     * (sum x)^2 / (n * sum x^2) over every counter matching the
-     * numerator pattern (1.0 = perfectly fair, 1/n = one counter has
-     * everything). Matching counters that are all zero are equal
-     * shares of nothing — still 1.0; only "no counter matches" reads
-     * 0.0.
-     */
-    struct Formula
-    {
-        enum class Kind : std::uint8_t
-        {
-            Ratio,
-            JainFairness,
-        };
-
-        std::string numerator;
-        std::string denominator;
-        Kind kind = Kind::Ratio;
-    };
+    StatsRegistry();
+    ~StatsRegistry();
+    StatsRegistry(StatsRegistry&&) noexcept;
+    StatsRegistry& operator=(StatsRegistry&&) noexcept;
 
     /**
      * Register (or look up) a counter under a hierarchical dotted name,
      * e.g. "cpu3.htm.violations".
      */
-    Counter& counter(const std::string& name);
+    Counter& counter(std::string_view name);
 
     /** Register (or look up) a distribution (default resolution). */
-    Distribution& distribution(const std::string& name);
+    Distribution& distribution(std::string_view name);
 
     /**
-     * Register a formula @p name = sum(@p num) / sum(@p den).
+     * Register a formula @p name = sum(@p num) / sum(@p den), evaluated
+     * against the registry at dump/value time, so it never goes stale.
      * Re-registering an existing name overwrites its patterns.
      */
-    void formula(const std::string& name, const std::string& num,
-                 const std::string& den);
+    void formula(std::string_view name, std::string_view num,
+                 std::string_view den);
 
-    /** Register a Jain fairness index @p name over every counter
-     *  matching @p pattern (e.g. "cpu*.htm.outer_commits"). */
-    void jainFairness(const std::string& name, const std::string& pattern);
+    /**
+     * Register a Jain fairness index @p name over every counter
+     * matching @p pattern (e.g. "cpu*.htm.outer_commits"):
+     * (sum x)^2 / (n * sum x^2), 1.0 when the shares are equal and 1/n
+     * when one counter has everything. Matching counters that are all
+     * zero are equal shares of nothing, still 1.0; only "no counter
+     * matches" reads 0.0.
+     */
+    void jainFairness(std::string_view name, std::string_view pattern);
 
     /** Read a counter's current value (0 if never registered). */
-    std::uint64_t value(const std::string& name) const;
+    std::uint64_t value(std::string_view name) const;
 
     /** Sum the values of all counters whose name matches "prefix*suffix".
      *  @p pattern contains at most one '*'. */
-    std::uint64_t sum(const std::string& pattern) const;
+    std::uint64_t sum(std::string_view pattern) const;
 
     /** Look up a distribution (nullptr if never registered). */
-    const Distribution* findDistribution(const std::string& name) const;
+    const Distribution* findDistribution(std::string_view name) const;
 
     /** Evaluate a registered formula (0.0 if unknown or den == 0). */
-    double formulaValue(const std::string& name) const;
+    double formulaValue(std::string_view name) const;
 
     /** Reset every counter and distribution to zero. */
     void resetAll();
 
     /**
      * Fold @p other into this registry: counters add, distributions
-     * merge sample-for-sample, formulas register where absent. Merging
-     * the same registries in the same order always produces the same
-     * result (maps iterate sorted), which is what makes campaign-
-     * aggregated stats independent of worker count.
+     * merge sample-for-sample, formulas register where absent. When
+     * this registry already has every name, nothing is allocated.
+     * Counters add and distributions fold exactly, so their merged
+     * values do not depend on merge order, and every dump sorts names
+     * as it writes them, whatever order they were registered in.
      */
     void mergeFrom(const StatsRegistry& other);
 
@@ -319,9 +311,21 @@ class StatsRegistry
     std::vector<std::string> names() const;
 
   private:
-    std::map<std::string, Counter> counters;
-    std::map<std::string, Distribution> dists;
-    std::map<std::string, Formula> formulas;
+    /**
+     * Counters, distributions and formulas, each in registration
+     * order, with every name's bytes in one arena (see stats.cc). The
+     * tables sit behind one pointer, made on first registration, so a
+     * registry is small to hold and to move and every Counter& and
+     * Distribution& handed out stays valid when the registry moves.
+     */
+    struct Tables;
+
+    /** The tables, made here on first registration. */
+    Tables& edit();
+    /** The tables, or an empty set if nothing was registered. */
+    const Tables& view() const;
+
+    std::unique_ptr<Tables> tables;
 };
 
 } // namespace tmsim

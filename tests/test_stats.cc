@@ -2,22 +2,79 @@
  * @file
  * StatsRegistry unit tests: counter sum() pattern matching (including
  * the overlap and no-match edge cases), log-linear (HDR) Distribution
- * bucketing and quantile error bounds, Formula evaluation, and the
- * schema headers of both dump formats.
+ * bucketing and quantile error bounds, Formula evaluation, the schema
+ * headers of both dump formats, the registry's storage contract
+ * (stable references, allocations per chunk rather than per name, an
+ * allocation-free merge) and output that does not depend on
+ * registration order.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
 #include "sim/stats.hh"
 
+// Every heap allocation in this binary goes through here, so a test
+// can count the allocations a registry makes. (The deletes stay out of
+// line: inlined next to the library's operator new, GCC would warn that
+// free() does not match it.)
+namespace {
+std::atomic<long> newCalls{0};
+} // namespace
+
+void*
+operator new(std::size_t n)
+{
+    newCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
 using namespace tmsim;
 using Dist = StatsRegistry::Distribution;
+
+namespace {
+
+/** Heap allocations made while @p fn runs. */
+template <typename Fn>
+long
+allocationsDuring(Fn fn)
+{
+    const long before = newCalls.load();
+    fn();
+    return newCalls.load() - before;
+}
+
+} // namespace
+
+// runCampaign keeps one std::optional<Result> per job, and a campaign
+// result holds a registry, so every byte here is paid once per job.
+static_assert(sizeof(StatsRegistry) <= 144);
 
 TEST(StatsSum, ExactNameWithoutStar)
 {
@@ -448,8 +505,8 @@ TEST(StatNames, PerCpuNamesAppendToTheCpuPrefix)
 
 TEST(Merge, NamesInterleaveWithTheDestinations)
 {
-    // The merge walks both sorted maps at once: source names fall
-    // before, between, on and after the destination's.
+    // Source names sort before, between, on and after the
+    // destination's; names() lists the merged set sorted all the same.
     StatsRegistry a;
     for (const char* name : {"b", "d", "f"})
         a.counter(name) += 1;
@@ -520,4 +577,205 @@ TEST(Merge, OrderInvariantAggregation)
     fwd.dumpJson(a);
     rev.dumpJson(b);
     EXPECT_EQ(a.str(), b.str());
+}
+
+TEST(Storage, ReferencesSurviveRegistrationMergeAndMove)
+{
+    StatsRegistry reg;
+    StatsRegistry::Counter& c = reg.counter("held.counter");
+    Dist& d = reg.distribution("held.dist");
+    c += 5;
+    d.sample(7);
+
+    char name[32];
+    for (int i = 0; i < 10000; ++i) {
+        std::snprintf(name, sizeof(name), "fill.counter%d", i);
+        reg.counter(name) += 1;
+        if (i % 100 == 0) {
+            std::snprintf(name, sizeof(name), "fill.dist%d", i);
+            reg.distribution(name).sample(1);
+        }
+    }
+    EXPECT_EQ(&reg.counter("held.counter"), &c);
+    EXPECT_EQ(&reg.distribution("held.dist"), &d);
+    EXPECT_EQ(c.value(), 5u);
+    EXPECT_EQ(d.count(), 1u);
+
+    StatsRegistry other;
+    other.counter("held.counter") += 2;
+    other.counter("merge.new_counter") += 1;
+    other.distribution("held.dist").sample(9);
+    other.distribution("merge.new_dist").sample(1);
+    reg.mergeFrom(other);
+    EXPECT_EQ(&reg.counter("held.counter"), &c);
+    EXPECT_EQ(&reg.distribution("held.dist"), &d);
+    EXPECT_EQ(c.value(), 7u);
+    EXPECT_EQ(d.count(), 2u);
+    EXPECT_EQ(reg.value("merge.new_counter"), 1u);
+
+    StatsRegistry moved(std::move(reg));
+    EXPECT_EQ(&moved.counter("held.counter"), &c);
+    EXPECT_EQ(&moved.distribution("held.dist"), &d);
+    StatsRegistry assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(&assigned.counter("held.counter"), &c);
+    EXPECT_EQ(assigned.findDistribution("held.dist"), &d);
+    c += 1;
+    EXPECT_EQ(assigned.value("held.counter"), 8u);
+    EXPECT_EQ(assigned.value("fill.counter9999"), 1u);
+    EXPECT_EQ(assigned.names().size(), 10002u);
+}
+
+TEST(Storage, RegisteringNamesAllocatesPerChunkNotPerName)
+{
+    // A tree node (or a heap string) per name would be 2,000
+    // allocations at least.
+    StatsRegistry reg;
+    char name[40];
+    const long n = allocationsDuring([&] {
+        for (int i = 0; i < 2000; ++i) {
+            std::snprintf(name, sizeof(name), "cpu%d.htm.outer_commits", i);
+            reg.counter(name) += 1;
+        }
+    });
+    EXPECT_LT(n, 200);
+    EXPECT_EQ(reg.sum("cpu*.htm.outer_commits"), 2000u);
+}
+
+TEST(Storage, MergeIntoARegistryWithEveryNameAllocatesNothing)
+{
+    auto fill = [](StatsRegistry& r) {
+        for (int cpu = 0; cpu < 4; ++cpu) {
+            r.counter(cpuStatName(cpu, "htm.outer_commits")) += 3;
+            r.counter(cpuStatName(cpu, "htm.begins")) += 4;
+        }
+        r.counter("sim.ticks") += 100;
+        r.distribution("htm.rset_size_at_commit").sample(12);
+        r.distribution("htm.tx_duration_committed").sample(345);
+        r.formula("htm.commit_rate", "cpu*.htm.outer_commits",
+                  "cpu*.htm.begins");
+        r.jainFairness("htm.commit_fairness", "cpu*.htm.outer_commits");
+    };
+    StatsRegistry into, from;
+    fill(into);
+    fill(from);
+    const long n = allocationsDuring([&] { into.mergeFrom(from); });
+    EXPECT_EQ(n, 0);
+    EXPECT_EQ(into.value("cpu3.htm.outer_commits"), 6u);
+    EXPECT_EQ(into.value("sim.ticks"), 200u);
+    EXPECT_EQ(into.findDistribution("htm.tx_duration_committed")->count(),
+              2u);
+    EXPECT_DOUBLE_EQ(into.formulaValue("htm.commit_rate"), 0.75);
+}
+
+TEST(Dump, OutputDoesNotDependOnRegistrationOrder)
+{
+    // Uneven shares whose double sums round differently forward and
+    // backward, so only a fixed visiting order gives one fairness value.
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::mt19937_64 rng(6);
+    for (int cpu = 0; cpu < 12; ++cpu) {
+        counters.emplace_back(cpuStatName(cpu, "htm.outer_commits"),
+                              rng() >> 20);
+    }
+    for (const char* name : {"sim.ticks", "bus.busy_cycles", "a", "zz.top"})
+        counters.emplace_back(name, rng() >> 40);
+    const std::vector<std::string> dists = {"htm.lat", "a.lat", "m.size"};
+
+    auto jainOver = [&](bool reversed) {
+        double s = 0.0, sq = 0.0;
+        for (std::size_t k = 0; k < 12; ++k) {
+            const double x = static_cast<double>(
+                counters[reversed ? 11 - k : k].second);
+            s += x;
+            sq += x * x;
+        }
+        return (s * s) / (12.0 * sq);
+    };
+    ASSERT_NE(jainOver(false), jainOver(true))
+        << "shares must be order-sensitive";
+
+    auto registerAll = [&](StatsRegistry& r, bool reversed) {
+        for (std::size_t k = 0; k < counters.size(); ++k) {
+            const auto& [name, v] =
+                counters[reversed ? counters.size() - 1 - k : k];
+            r.counter(name) += v;
+        }
+        for (std::size_t k = 0; k < dists.size(); ++k) {
+            const std::size_t i = reversed ? dists.size() - 1 - k : k;
+            for (std::uint64_t v = 1; v <= 40; ++v)
+                r.distribution(dists[i]).sample(v * (i + 1));
+        }
+        auto ratio = [&] {
+            r.formula("htm.commit_rate", "cpu*.htm.outer_commits",
+                      "sim.ticks");
+        };
+        auto jain = [&] {
+            r.jainFairness("htm.commit_fairness", "cpu*.htm.outer_commits");
+        };
+        if (reversed) {
+            jain();
+            ratio();
+        } else {
+            ratio();
+            jain();
+        }
+    };
+    StatsRegistry fwd, rev;
+    registerAll(fwd, false);
+    registerAll(rev, true);
+
+    // Three parts, each registering its share of names in a shuffled
+    // order; one counter and every distribution split across parts.
+    StatsRegistry parts[3];
+    std::vector<std::size_t> order(counters.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::shuffle(order.begin(), order.end(), rng);
+    for (std::size_t i : order) {
+        const auto& [name, v] = counters[i];
+        if (i == 0) {
+            parts[1].counter(name) += v / 3;
+            parts[2].counter(name) += v - v / 3;
+        } else {
+            parts[i % 3].counter(name) += v;
+        }
+    }
+    for (std::size_t i = dists.size(); i-- > 0;) {
+        for (std::uint64_t v = 1; v <= 40; ++v)
+            parts[v % 3].distribution(dists[i]).sample(v * (i + 1));
+    }
+    parts[2].jainFairness("htm.commit_fairness", "cpu*.htm.outer_commits");
+    parts[0].formula("htm.commit_rate", "cpu*.htm.outer_commits",
+                     "sim.ticks");
+    parts[1].jainFairness("htm.commit_fairness", "cpu*.htm.outer_commits");
+    StatsRegistry merged;
+    for (int p : {2, 0, 1})
+        merged.mergeFrom(parts[p]);
+
+    auto text = [](const StatsRegistry& r) {
+        std::ostringstream os;
+        r.dump(os);
+        return os.str();
+    };
+    auto json = [](const StatsRegistry& r) {
+        std::ostringstream os;
+        r.dumpJson(os);
+        return os.str();
+    };
+    auto fairness = [](const StatsRegistry& r) {
+        return std::bit_cast<std::uint64_t>(
+            r.formulaValue("htm.commit_fairness"));
+    };
+    for (const StatsRegistry* r : {&rev, &merged}) {
+        EXPECT_EQ(text(*r), text(fwd));
+        EXPECT_EQ(json(*r), json(fwd));
+        EXPECT_EQ(r->names(), fwd.names());
+        EXPECT_EQ(fairness(*r), fairness(fwd));
+    }
+    std::vector<std::string> sorted;
+    for (const auto& c : counters)
+        sorted.push_back(c.first);
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(fwd.names(), sorted);
 }
