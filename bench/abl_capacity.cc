@@ -92,6 +92,13 @@ struct Row
     double throughput;  ///< commits per kilocycle
 };
 
+void
+usage()
+{
+    std::fprintf(stderr, "usage: abl_capacity [--cpus N] [--jobs N] "
+                         "[--out FILE]\n");
+}
+
 const char*
 modeLabel(const Cell& c)
 {
@@ -106,19 +113,18 @@ main(int argc, char** argv)
     std::string outFile;
     int cpus = 8;
     int jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outFile = argv[++i];
-        } else if (std::strcmp(argv[i], "--cpus") == 0 && i + 1 < argc) {
-            cpus = parseInt(argv[++i], "--cpus", 1, 64);
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = parseInt(argv[++i], "--jobs", 1, 1024);
-        } else {
-            std::fprintf(stderr, "usage: abl_capacity [--cpus N] "
-                                 "[--jobs N] [--out FILE]\n");
-            return 2;
-        }
-    }
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (arg == "--out")
+            outFile = next();
+        else if (arg == "--cpus")
+            cpus = parseInt(next(), "--cpus", 1, 64);
+        else if (arg == "--jobs")
+            jobs = parseInt(next(), "--jobs", 1, 1024);
+        else
+            return false;
+        return true;
+    });
 
     defaultLogContext().quiet = true;
     std::printf("# Ablation: HTM capacity bounds (rset=wset cap), "

@@ -19,7 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
+#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -242,26 +242,18 @@ runSweep(const std::string& out_file, int jobs)
 {
     defaultLogContext().quiet = true;
 
-    struct Design
-    {
-        const char* name;
-        HtmConfig htm;
-    };
-    const Design designs[] = {
-        {"lazy-wb", HtmConfig::paperLazy()},
-        {"eager-undolog", HtmConfig::eagerUndoLog()},
-    };
+    const char* const designNames[] = {"lazy-wb", "eager-undolog"};
     const int cpuCounts[] = {1, 2, 4, 8, 16};
 
     struct Cell
     {
-        const Design* d;
+        const DesignPoint* d;
         int cpus;
     };
     std::vector<Cell> grid;
-    for (const Design& d : designs)
+    for (const char* name : designNames)
         for (int n : cpuCounts)
-            grid.push_back(Cell{&d, n});
+            grid.push_back(Cell{&designPoint(name), n});
 
     std::ofstream os(out_file);
     if (!os)
@@ -275,7 +267,7 @@ runSweep(const std::string& out_file, int jobs)
     const CampaignResult cres = runCampaign<E2eResult>(
         grid.size(), opt,
         [&](std::size_t i) {
-            return runE2e(grid[i].cpus, grid[i].d->htm);
+            return runE2e(grid[i].cpus, grid[i].d->apply(HtmConfig{}));
         },
         [&](std::size_t i, E2eResult&& r) {
             const Cell& cell = grid[i];
@@ -315,6 +307,14 @@ BENCHMARK(BM_TxThroughputE2E)
     ->ArgName("cpus")
     ->Unit(benchmark::kMillisecond);
 
+void
+usage()
+{
+    std::printf("usage: abl_conflict_index [--sweep-out FILE [--jobs N]] "
+                "[google-benchmark flags]\n");
+    benchmark::PrintDefaultHelp();
+}
+
 // Custom main instead of BENCHMARK_MAIN(): --sweep-out selects the
 // pool-driven end-to-end grid; anything else goes to google-benchmark.
 int
@@ -322,19 +322,23 @@ main(int argc, char** argv)
 {
     std::string sweepOut;
     int jobs = 1;
-    std::vector<char*> passthrough{argv[0]};
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--sweep-out") == 0 && i + 1 < argc) {
-            sweepOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = parseInt(argv[++i], "--jobs", 1, 1024);
-        } else {
-            passthrough.push_back(argv[i]);
-        }
-    }
+    std::vector<std::string> rest;
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (arg == "--sweep-out")
+            sweepOut = next();
+        else if (arg == "--jobs")
+            jobs = parseInt(next(), "--jobs", 1, 1024);
+        else
+            rest.push_back(arg);
+        return true;
+    });
     if (!sweepOut.empty())
         return runSweep(sweepOut, jobs);
 
+    std::vector<char*> passthrough{argv[0]};
+    for (std::string& arg : rest)
+        passthrough.push_back(arg.data());
     int bargc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&bargc, passthrough.data());
     if (benchmark::ReportUnrecognizedArguments(bargc, passthrough.data()))

@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -35,24 +34,21 @@ using namespace tmsim;
 
 namespace {
 
-struct Design
-{
-    const char* name;
-    VersionMode version;
-    ConflictMode conflict;
-};
-
-const Design designs[] = {
-    {"lazy-wb", VersionMode::WriteBuffer, ConflictMode::Lazy},
-    {"eager-wb", VersionMode::WriteBuffer, ConflictMode::Eager},
-    {"eager-undolog", VersionMode::UndoLog, ConflictMode::Eager},
-};
+/** The design points swept (the three fully nested ones). */
+const char* const designNames[] = {"lazy-wb", "eager-wb", "eager-undolog"};
 
 const ContentionPolicy policies[] = {
     ContentionPolicy::Requester, ContentionPolicy::Timestamp,
     ContentionPolicy::Karma,     ContentionPolicy::Polite,
     ContentionPolicy::Hybrid,
 };
+
+void
+usage()
+{
+    std::fprintf(stderr, "usage: abl_contention [--cpus N] [--jobs N] "
+                         "[--out FILE]\n");
+}
 
 struct Row
 {
@@ -70,19 +66,18 @@ main(int argc, char** argv)
     std::string outFile;
     int cpus = 8;
     int jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outFile = argv[++i];
-        } else if (std::strcmp(argv[i], "--cpus") == 0 && i + 1 < argc) {
-            cpus = parseInt(argv[++i], "--cpus", 1, 64);
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = parseInt(argv[++i], "--jobs", 1, 1024);
-        } else {
-            std::fprintf(stderr, "usage: abl_contention [--cpus N] "
-                                 "[--jobs N] [--out FILE]\n");
-            return 2;
-        }
-    }
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (arg == "--out")
+            outFile = next();
+        else if (arg == "--cpus")
+            cpus = parseInt(next(), "--cpus", 1, 64);
+        else if (arg == "--jobs")
+            jobs = parseInt(next(), "--jobs", 1, 1024);
+        else
+            return false;
+        return true;
+    });
 
     defaultLogContext().quiet = true;
     std::printf("# Ablation: contention policies on the 'contend' "
@@ -96,13 +91,13 @@ main(int argc, char** argv)
     // JSON are --jobs invariant.
     struct Cell
     {
-        const Design* d;
+        const DesignPoint* d;
         ContentionPolicy pol;
     };
     std::vector<Cell> grid;
-    for (const Design& d : designs)
+    for (const char* name : designNames)
         for (ContentionPolicy pol : policies)
-            grid.push_back(Cell{&d, pol});
+            grid.push_back(Cell{&designPoint(name), pol});
 
     std::vector<Row> rows;
     bool allOk = true;
@@ -113,9 +108,7 @@ main(int argc, char** argv)
         grid.size(), opt,
         [&](std::size_t i) {
             const Cell& cell = grid[i];
-            HtmConfig cfg;
-            cfg.version = cell.d->version;
-            cfg.conflict = cell.d->conflict;
+            HtmConfig cfg = cell.d->apply(HtmConfig{});
             cfg.contention = cell.pol;
             ContentionKernel k;
             return runKernel(k, cfg, cpus);

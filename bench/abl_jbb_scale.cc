@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -71,6 +70,13 @@ struct Row
     double throughput; ///< commits per kilocycle
 };
 
+void
+usage()
+{
+    std::fprintf(stderr, "usage: abl_jbb_scale [--jobs N] [--ops N] "
+                         "[--customers N] [--out FILE]\n");
+}
+
 } // namespace
 
 int
@@ -84,23 +90,20 @@ main(int argc, char** argv)
     base.jbbCustomers = 1000000;
     base.jbbStockItems = 100000;
     base.jbbOps = 1280;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            outFile = argv[++i];
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = parseInt(argv[++i], "--jobs", 1, 1024);
-        } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-            base.jbbOps = parseInt(argv[++i], "--ops", 1);
-        } else if (std::strcmp(argv[i], "--customers") == 0 &&
-                   i + 1 < argc) {
-            base.jbbCustomers = parseInt(argv[++i], "--customers", 1);
-        } else {
-            std::fprintf(stderr,
-                         "usage: abl_jbb_scale [--jobs N] [--ops N] "
-                         "[--customers N] [--out FILE]\n");
-            return 2;
-        }
-    }
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (arg == "--out")
+            outFile = next();
+        else if (arg == "--jobs")
+            jobs = parseInt(next(), "--jobs", 1, 1024);
+        else if (arg == "--ops")
+            base.jbbOps = parseInt(next(), "--ops", 1);
+        else if (arg == "--customers")
+            base.jbbCustomers = parseInt(next(), "--customers", 1);
+        else
+            return false;
+        return true;
+    });
 
     defaultLogContext().quiet = true;
     std::printf("# Ablation: production-scale SPECjbb (open variant, "

@@ -3,7 +3,9 @@
  * Ablation A13 — native STM backend thread scaling. Unlike every other
  * bench in this directory this one does not run the cycle simulator:
  * it drives the src/stm runtime with real host threads and measures
- * wall-clock commit throughput at 1, 2 and 4 threads.
+ * wall-clock commit throughput at 1, 2 and 4 threads. Each row runs
+ * five times and reports the median run, so one descheduled run
+ * cannot swing the scaling ratio.
  *
  * Three kernels, chosen so the curve is interpretable on any host,
  * including single-CPU CI boxes (host_cpus is recorded in the JSON):
@@ -23,14 +25,16 @@
  * With --out FILE the curve is written as JSON (curated copy:
  * BENCH_stm_scaling.json in the repo root; tools/bench_trend collects
  * the headline number). The run fails (exit 1) unless the latency
- * kernel reaches --min-speedup (default 2.0) at 4 threads, every
- * commit count is exact, and the contended kernel's final counter
+ * kernel reaches --min-speedup (default 2.0) at 4 threads, every run's
+ * commit count is exact, and every contended run's final counter
  * equals its total op count (the STM lost no increments).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +49,9 @@ using namespace tmsim;
 namespace {
 
 const int threadCounts[] = {1, 2, 4};
+
+/** Runs per row; the row reports the median one. */
+constexpr int repetitions = 5;
 
 struct RunResult
 {
@@ -167,6 +174,13 @@ const KernelInfo kernels[] = {
     {"contended", kernelContended, false},
 };
 
+void
+usage()
+{
+    std::fprintf(stderr, "usage: abl_stm_scaling [--ops N] [--think-us N] "
+                         "[--min-speedup X] [--out FILE]\n");
+}
+
 } // namespace
 
 int
@@ -177,25 +191,20 @@ main(int argc, char** argv)
     double minSpeedup = 2.0;
     std::string outFile;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--ops") {
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (arg == "--ops")
             opsPerThread = parseInt(next(), "--ops", 1, 1'000'000);
-        } else if (arg == "--think-us") {
+        else if (arg == "--think-us")
             thinkUs = parseInt(next(), "--think-us", 1, 1'000'000);
-        } else if (arg == "--min-speedup") {
-            minSpeedup = parseInt(next(), "--min-speedup", 1, 100);
-        } else if (arg == "--out") {
+        else if (arg == "--min-speedup")
+            minSpeedup = parseDouble(next(), "--min-speedup", 1, 100);
+        else if (arg == "--out")
             outFile = next();
-        } else {
-            fatal("unknown option: %s", arg.c_str());
-        }
-    }
+        else
+            return false;
+        return true;
+    });
 
     const unsigned hostCpus = std::thread::hardware_concurrency();
     std::printf("abl_stm_scaling: host_cpus=%u ops/thread=%d "
@@ -209,35 +218,44 @@ main(int argc, char** argv)
     for (const KernelInfo& k : kernels) {
         double base = 0;
         for (int threads : threadCounts) {
-            const RunResult r = k.fn(threads, opsPerThread, thinkUs);
             const double ops =
                 static_cast<double>(threads) * opsPerThread;
+            RunResult runs[repetitions];
+            for (RunResult& r : runs) {
+                r = k.fn(threads, opsPerThread, thinkUs);
+                // Exactness: every op committed exactly once...
+                if (r.commits != static_cast<std::uint64_t>(ops)) {
+                    std::fprintf(stderr,
+                                 "error: %s/%d: %llu commits for %.0f "
+                                 "ops\n",
+                                 k.name, threads,
+                                 static_cast<unsigned long long>(
+                                     r.commits),
+                                 ops);
+                    ok = false;
+                }
+                // ...and no contended increment was lost.
+                if (k.fn == kernelContended &&
+                    r.finalSum != static_cast<Word>(ops)) {
+                    std::fprintf(stderr,
+                                 "error: contended/%d: final counter "
+                                 "%llu != %0.f\n",
+                                 threads,
+                                 static_cast<unsigned long long>(
+                                     r.finalSum),
+                                 ops);
+                    ok = false;
+                }
+            }
+            std::sort(std::begin(runs), std::end(runs),
+                      [](const RunResult& a, const RunResult& b) {
+                          return a.seconds < b.seconds;
+                      });
+            const RunResult& r = runs[repetitions / 2];
             const double rate = ops / r.seconds;
             if (threads == 1)
                 base = rate;
             const double speedup = rate / base;
-
-            // Exactness: every op committed exactly once...
-            if (r.commits != static_cast<std::uint64_t>(ops)) {
-                std::fprintf(stderr,
-                             "error: %s/%d: %llu commits for %.0f "
-                             "ops\n",
-                             k.name, threads,
-                             static_cast<unsigned long long>(r.commits),
-                             ops);
-                ok = false;
-            }
-            // ...and no contended increment was lost.
-            if (k.fn == kernelContended &&
-                r.finalSum != static_cast<Word>(ops)) {
-                std::fprintf(stderr,
-                             "error: contended/%d: final counter "
-                             "%llu != %0.f\n",
-                             threads,
-                             static_cast<unsigned long long>(r.finalSum),
-                             ops);
-                ok = false;
-            }
             if (k.scalingGate && threads == 4 &&
                 speedup < minSpeedup) {
                 std::fprintf(stderr,

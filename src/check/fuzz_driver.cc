@@ -1,13 +1,14 @@
 #include "check/fuzz_driver.hh"
 
+#include <iterator>
 #include <sstream>
 
 #include "check/oracle.hh"
 
 namespace tmsim {
 
-std::vector<FuzzConfig>
-fuzzConfigs(const FuzzProgram& program)
+HtmConfig
+fuzzConfig(const FuzzProgram& program, const DesignPoint& point)
 {
     HtmConfig base;
     base.granularity = program.wordGranularity ? TrackGranularity::Word
@@ -16,36 +17,16 @@ fuzzConfigs(const FuzzProgram& program)
     base.rsetCap = program.rsetCap;
     base.wsetCap = program.wsetCap;
     base.capacityMode = program.capacityMode;
+    return point.apply(base);
+}
 
+std::vector<FuzzConfig>
+fuzzConfigs(const FuzzProgram& program)
+{
     std::vector<FuzzConfig> out;
-    {
-        HtmConfig c = base;
-        c.version = VersionMode::UndoLog;
-        c.conflict = ConflictMode::Eager;
-        c.nesting = NestingMode::Full;
-        out.push_back({"eager-undolog", c});
-    }
-    {
-        HtmConfig c = base;
-        c.version = VersionMode::WriteBuffer;
-        c.conflict = ConflictMode::Eager;
-        c.nesting = NestingMode::Full;
-        out.push_back({"eager-wb", c});
-    }
-    {
-        HtmConfig c = base;
-        c.version = VersionMode::WriteBuffer;
-        c.conflict = ConflictMode::Lazy;
-        c.nesting = NestingMode::Full;
-        out.push_back({"lazy-wb", c});
-    }
-    {
-        HtmConfig c = base;
-        c.version = VersionMode::WriteBuffer;
-        c.conflict = ConflictMode::Lazy;
-        c.nesting = NestingMode::Flatten;
-        out.push_back({"lazy-wb-flatten", c});
-    }
+    out.reserve(std::size(designPoints));
+    for (const DesignPoint& point : designPoints)
+        out.push_back({point.name, fuzzConfig(program, point)});
     return out;
 }
 

@@ -26,8 +26,11 @@ struct FuzzConfig
     HtmConfig htm;
 };
 
-/** The four differential base configs, with the program's uniform
- *  per-seed toggles (granularity, eager policy) applied. */
+/** @p point with the program's uniform per-seed toggles applied
+ *  (granularity, contention policy, capacity bounds). */
+HtmConfig fuzzConfig(const FuzzProgram& program, const DesignPoint& point);
+
+/** fuzzConfig() of every design point, in designPoints order. */
 std::vector<FuzzConfig> fuzzConfigs(const FuzzProgram& program);
 
 struct FuzzFailure

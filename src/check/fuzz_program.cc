@@ -1,115 +1,42 @@
 #include "check/fuzz_program.hh"
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+
+#include "sim/logging.hh"
 
 namespace tmsim {
 
 namespace {
 
-const char*
-opKindName(FuzzOpKind k)
-{
-    switch (k) {
-    case FuzzOpKind::TxRead: return "txread";
-    case FuzzOpKind::TxAdd: return "txadd";
-    case FuzzOpKind::Release: return "release";
-    case FuzzOpKind::ImmRead: return "immread";
-    case FuzzOpKind::ImmStore: return "immstore";
-    case FuzzOpKind::ImmStoreIdem: return "immstoreid";
-    case FuzzOpKind::Exec: return "exec";
-    case FuzzOpKind::HandlerCommit: return "hcommit";
-    case FuzzOpKind::HandlerViolation: return "hviolation";
-    case FuzzOpKind::HandlerAbort: return "habort";
-    case FuzzOpKind::Abort: return "abort";
-    case FuzzOpKind::Nest: return "nest";
-    }
-    return "?";
-}
+constexpr Choice<FuzzOpKind> opKindNames[] = {
+    {"txread", FuzzOpKind::TxRead},
+    {"txadd", FuzzOpKind::TxAdd},
+    {"release", FuzzOpKind::Release},
+    {"immread", FuzzOpKind::ImmRead},
+    {"immstore", FuzzOpKind::ImmStore},
+    {"immstoreid", FuzzOpKind::ImmStoreIdem},
+    {"exec", FuzzOpKind::Exec},
+    {"hcommit", FuzzOpKind::HandlerCommit},
+    {"hviolation", FuzzOpKind::HandlerViolation},
+    {"habort", FuzzOpKind::HandlerAbort},
+    {"abort", FuzzOpKind::Abort},
+    {"nest", FuzzOpKind::Nest},
+};
 
-bool
-opKindFromName(const std::string& s, FuzzOpKind& out)
-{
-    static const struct { const char* name; FuzzOpKind k; } table[] = {
-        {"txread", FuzzOpKind::TxRead},
-        {"txadd", FuzzOpKind::TxAdd},
-        {"release", FuzzOpKind::Release},
-        {"immread", FuzzOpKind::ImmRead},
-        {"immstore", FuzzOpKind::ImmStore},
-        {"immstoreid", FuzzOpKind::ImmStoreIdem},
-        {"exec", FuzzOpKind::Exec},
-        {"hcommit", FuzzOpKind::HandlerCommit},
-        {"hviolation", FuzzOpKind::HandlerViolation},
-        {"habort", FuzzOpKind::HandlerAbort},
-        {"abort", FuzzOpKind::Abort},
-        {"nest", FuzzOpKind::Nest},
-    };
-    for (const auto& e : table) {
-        if (s == e.name) {
-            out = e.k;
-            return true;
-        }
-    }
-    return false;
-}
+constexpr Choice<ThreadOpKind> threadOpKindNames[] = {
+    {"runtx", ThreadOpKind::RunTx},
+    {"nakedload", ThreadOpKind::NakedLoad},
+    {"nakedstore", ThreadOpKind::NakedStore},
+    {"work", ThreadOpKind::Work},
+};
 
-const char*
-threadOpKindName(ThreadOpKind k)
-{
-    switch (k) {
-    case ThreadOpKind::RunTx: return "runtx";
-    case ThreadOpKind::NakedLoad: return "nakedload";
-    case ThreadOpKind::NakedStore: return "nakedstore";
-    case ThreadOpKind::Work: return "work";
-    }
-    return "?";
-}
-
-bool
-threadOpKindFromName(const std::string& s, ThreadOpKind& out)
-{
-    if (s == "runtx")
-        out = ThreadOpKind::RunTx;
-    else if (s == "nakedload")
-        out = ThreadOpKind::NakedLoad;
-    else if (s == "nakedstore")
-        out = ThreadOpKind::NakedStore;
-    else if (s == "work")
-        out = ThreadOpKind::Work;
-    else
-        return false;
-    return true;
-}
-
-const char*
-regionName(Region r)
-{
-    switch (r) {
-    case Region::Shared: return "shared";
-    case Region::Open: return "open";
-    case Region::Naked: return "naked";
-    case Region::Private: return "private";
-    case Region::Scratch: return "scratch";
-    }
-    return "?";
-}
-
-bool
-regionFromName(const std::string& s, Region& out)
-{
-    if (s == "shared")
-        out = Region::Shared;
-    else if (s == "open")
-        out = Region::Open;
-    else if (s == "naked")
-        out = Region::Naked;
-    else if (s == "private")
-        out = Region::Private;
-    else if (s == "scratch")
-        out = Region::Scratch;
-    else
-        return false;
-    return true;
-}
+constexpr Choice<Region> regionNames[] = {
+    {"shared", Region::Shared},   {"open", Region::Open},
+    {"naked", Region::Naked},     {"private", Region::Private},
+    {"scratch", Region::Scratch},
+};
 
 bool
 fail(std::string* err, const std::string& msg)
@@ -142,8 +69,8 @@ FuzzProgram::serialize() const
         os << "tx " << i << " " << (tx.open ? "open" : "closed") << " "
            << tx.ops.size() << "\n";
         for (const FuzzOp& op : tx.ops) {
-            os << "op " << opKindName(op.kind) << " "
-               << regionName(op.region) << " " << op.slot << " "
+            os << "op " << choiceName(opKindNames, op.kind) << " "
+               << choiceName(regionNames, op.region) << " " << op.slot << " "
                << op.value << " " << op.child << "\n";
         }
     }
@@ -151,8 +78,8 @@ FuzzProgram::serialize() const
     for (size_t t = 0; t < threads.size(); ++t) {
         os << "thread " << t << " " << threads[t].size() << "\n";
         for (const ThreadOp& op : threads[t]) {
-            os << "top " << threadOpKindName(op.kind) << " " << op.tx
-               << " " << regionName(op.region) << " " << op.slot << " "
+            os << "top " << choiceName(threadOpKindNames, op.kind) << " " << op.tx
+               << " " << choiceName(regionNames, op.region) << " " << op.slot << " "
                << op.value << "\n";
         }
     }
@@ -201,7 +128,7 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
                              "or drop it: " + line);
         }
         if (!ls.fail() && k == "contention") {
-            if (!contentionPolicyFromName(v, p.contention))
+            if (!choiceValue(contentionPolicyNames, v, p.contention))
                 return fail(err, "bad contention policy: " + line);
             if (!std::getline(is, line))
                 return fail(err, "missing inject");
@@ -234,7 +161,7 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
             return fail(err, "capacity bounds out of range "
                              "[0, 100000]: " + line);
         }
-        if (!capacityModeFromName(mode, p.capacityMode))
+        if (!choiceValue(capacityModeNames, mode, p.capacityMode))
             return fail(err, "bad capacity mode: " + line);
         p.rsetCap = rcap;
         p.wsetCap = wcap;
@@ -276,8 +203,8 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
             os2 >> otag >> okind >> oregion >> op.slot >> op.value >>
                 op.child;
             if (os2.fail() || otag != "op" ||
-                !opKindFromName(okind, op.kind) ||
-                !regionFromName(oregion, op.region)) {
+                !choiceValue(opKindNames, okind, op.kind) ||
+                !choiceValue(regionNames, oregion, op.region)) {
                 return fail(err, "bad op: " + line);
             }
             p.txs[i].ops[j] = op;
@@ -306,8 +233,8 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
             os2 >> otag >> okind >> op.tx >> oregion >> op.slot >>
                 op.value;
             if (os2.fail() || otag != "top" ||
-                !threadOpKindFromName(okind, op.kind) ||
-                !regionFromName(oregion, op.region)) {
+                !choiceValue(threadOpKindNames, okind, op.kind) ||
+                !choiceValue(regionNames, oregion, op.region)) {
                 return fail(err, "bad thread op: " + line);
             }
             p.threads[t][j] = op;
@@ -344,6 +271,55 @@ FuzzProgram::parse(const std::string& text, FuzzProgram& out,
 
     out = std::move(p);
     return true;
+}
+
+FuzzProgram
+loadReplay(const std::string& path)
+{
+    std::ifstream is(path);
+    if (!is)
+        fatal("cannot open replay file '%s'", path.c_str());
+    std::stringstream buf;
+    buf << is.rdbuf();
+    FuzzProgram p;
+    std::string err;
+    if (!FuzzProgram::parse(buf.str(), p, &err))
+        fatal("malformed replay file: %s", err.c_str());
+    return p;
+}
+
+std::string
+writeReplay(const FuzzProgram& p, const std::string& dir,
+            const std::string& name)
+{
+    const std::string path = dir + "/" + name + ".replay";
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "cannot write replay file %s\n",
+                     path.c_str());
+        return {};
+    }
+    os << p.serialize();
+    return path;
+}
+
+int
+replayVerdict(bool failed, const std::string& where,
+              const std::string& message, const char* pass_line,
+              bool expect_fail)
+{
+    if (failed) {
+        std::printf("replay FAILS [%s]: %s\n", where.c_str(),
+                    message.c_str());
+        return expect_fail ? 0 : 1;
+    }
+    std::printf("%s\n", pass_line);
+    if (expect_fail) {
+        std::printf("error: --expect-fail but the replay no "
+                    "longer fails\n");
+        return 1;
+    }
+    return 0;
 }
 
 } // namespace tmsim

@@ -161,6 +161,24 @@ struct FuzzProgram
 /** Deterministically generate the program for @p seed. */
 FuzzProgram generateProgram(std::uint64_t seed);
 
+/** Read and parse the replay file @p path; fatal when it cannot be
+ *  opened or is malformed. */
+FuzzProgram loadReplay(const std::string& path);
+
+/** Write @p p to DIR/NAME.replay and return that path, or "" (after a
+ *  note on stderr) when the file cannot be written. */
+std::string writeReplay(const FuzzProgram& p, const std::string& dir,
+                        const std::string& name);
+
+/**
+ * Print the verdict of a --replay run, "replay FAILS [WHERE]: MESSAGE"
+ * or @p pass_line, and return the tool's exit code: 0 when the replay
+ * failed exactly if @p expect_fail, 1 otherwise.
+ */
+int replayVerdict(bool failed, const std::string& where,
+                  const std::string& message, const char* pass_line,
+                  bool expect_fail);
+
 } // namespace tmsim
 
 #endif // TMSIM_CHECK_FUZZ_PROGRAM_HH

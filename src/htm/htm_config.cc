@@ -2,59 +2,6 @@
 
 namespace tmsim {
 
-const char*
-contentionPolicyName(ContentionPolicy p)
-{
-    switch (p) {
-    case ContentionPolicy::Requester: return "requester";
-    case ContentionPolicy::Timestamp: return "timestamp";
-    case ContentionPolicy::Karma: return "karma";
-    case ContentionPolicy::Polite: return "polite";
-    case ContentionPolicy::Hybrid: return "hybrid";
-    }
-    return "?";
-}
-
-bool
-contentionPolicyFromName(const std::string& s, ContentionPolicy& out)
-{
-    if (s == "requester")
-        out = ContentionPolicy::Requester;
-    else if (s == "timestamp")
-        out = ContentionPolicy::Timestamp;
-    else if (s == "karma")
-        out = ContentionPolicy::Karma;
-    else if (s == "polite")
-        out = ContentionPolicy::Polite;
-    else if (s == "hybrid")
-        out = ContentionPolicy::Hybrid;
-    else
-        return false;
-    return true;
-}
-
-const char*
-capacityModeName(CapacityMode m)
-{
-    switch (m) {
-    case CapacityMode::Abort: return "abort";
-    case CapacityMode::Overflow: return "overflow";
-    }
-    return "?";
-}
-
-bool
-capacityModeFromName(const std::string& s, CapacityMode& out)
-{
-    if (s == "abort")
-        out = CapacityMode::Abort;
-    else if (s == "overflow")
-        out = CapacityMode::Overflow;
-    else
-        return false;
-    return true;
-}
-
 HtmConfig
 HtmConfig::paperLazy()
 {

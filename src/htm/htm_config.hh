@@ -10,6 +10,7 @@
 #include <string>
 
 #include "mem/cache.hh"
+#include "sim/parse.hh"
 #include "sim/types.hh"
 
 namespace tmsim {
@@ -64,11 +65,20 @@ enum class ContentionPolicy
     Hybrid,
 };
 
-/** Short lower-case name used by CLIs and replay files. */
-const char* contentionPolicyName(ContentionPolicy p);
+/** The lower-case names CLIs and replay files use. */
+inline constexpr Choice<ContentionPolicy> contentionPolicyNames[] = {
+    {"requester", ContentionPolicy::Requester},
+    {"timestamp", ContentionPolicy::Timestamp},
+    {"karma", ContentionPolicy::Karma},
+    {"polite", ContentionPolicy::Polite},
+    {"hybrid", ContentionPolicy::Hybrid},
+};
 
-/** Parse a contentionPolicyName(); returns false on unknown names. */
-bool contentionPolicyFromName(const std::string& s, ContentionPolicy& out);
+inline const char*
+contentionPolicyName(ContentionPolicy p)
+{
+    return choiceName(contentionPolicyNames, p);
+}
 
 /** Conflict-tracking granularity (paper 6.3.1: "If word-level
  *  tracking is implemented, we need per-word R and W bits"). Word
@@ -99,11 +109,17 @@ enum class CapacityMode
     Overflow,
 };
 
-/** Short lower-case name used by CLIs and replay files. */
-const char* capacityModeName(CapacityMode m);
+/** The lower-case names CLIs and replay files use. */
+inline constexpr Choice<CapacityMode> capacityModeNames[] = {
+    {"abort", CapacityMode::Abort},
+    {"overflow", CapacityMode::Overflow},
+};
 
-/** Parse a capacityModeName(); returns false on unknown names. */
-bool capacityModeFromName(const std::string& s, CapacityMode& out);
+inline const char*
+capacityModeName(CapacityMode m)
+{
+    return choiceName(capacityModeNames, m);
+}
 
 /** How nested xbegin is treated. */
 enum class NestingMode
@@ -113,6 +129,28 @@ enum class NestingMode
     /** Subsume inner transactions into the outermost (the baseline
      *  flattening of prior HTM systems). */
     Flatten,
+};
+
+// CLI spellings of the remaining modes (tmsim_run's flags).
+inline constexpr Choice<VersionMode> versionModeNames[] = {
+    {"wb", VersionMode::WriteBuffer},
+    {"undolog", VersionMode::UndoLog},
+};
+inline constexpr Choice<ConflictMode> conflictModeNames[] = {
+    {"lazy", ConflictMode::Lazy},
+    {"eager", ConflictMode::Eager},
+};
+inline constexpr Choice<NestingMode> nestingModeNames[] = {
+    {"full", NestingMode::Full},
+    {"flatten", NestingMode::Flatten},
+};
+inline constexpr Choice<NestScheme> nestSchemeNames[] = {
+    {"assoc", NestScheme::Associativity},
+    {"multitrack", NestScheme::MultiTracking},
+};
+inline constexpr Choice<TrackGranularity> trackGranularityNames[] = {
+    {"line", TrackGranularity::Line},
+    {"word", TrackGranularity::Word},
 };
 
 /** Complete HTM configuration. */
@@ -187,6 +225,48 @@ struct HtmConfig
     /** Human-readable summary for bench output. */
     std::string describe() const;
 };
+
+/**
+ * One of the design points the paper contrasts (sections 2.2 and 6.3,
+ * figure 5): a versioning, detection and nesting choice, named the way
+ * the fuzzers, tmsim_sweep and the benches print it.
+ */
+struct DesignPoint
+{
+    const char* name;
+    VersionMode version;
+    ConflictMode conflict;
+    NestingMode nesting;
+
+    /** @p base with this point's three modes. */
+    HtmConfig
+    apply(HtmConfig base) const
+    {
+        base.version = version;
+        base.conflict = conflict;
+        base.nesting = nesting;
+        return base;
+    }
+};
+
+/** The four design points, in the differential fuzzer's order. */
+inline constexpr DesignPoint designPoints[] = {
+    {"eager-undolog", VersionMode::UndoLog, ConflictMode::Eager,
+     NestingMode::Full},
+    {"eager-wb", VersionMode::WriteBuffer, ConflictMode::Eager,
+     NestingMode::Full},
+    {"lazy-wb", VersionMode::WriteBuffer, ConflictMode::Lazy,
+     NestingMode::Full},
+    {"lazy-wb-flatten", VersionMode::WriteBuffer, ConflictMode::Lazy,
+     NestingMode::Flatten},
+};
+
+/** The design point named @p name; fatal for an unknown name. */
+inline const DesignPoint&
+designPoint(const std::string& name)
+{
+    return parseChoice(name, "design point", designPoints);
+}
 
 } // namespace tmsim
 

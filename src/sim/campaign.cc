@@ -125,26 +125,13 @@ class TelemetryEmitter
                 static_cast<unsigned long long>(fails), rate,
                 done - merged);
             if (final) {
-                dumpDist(", \"job_wall_us\"", wallDist);
-                dumpDist(", \"merge_us\"", mergeDist);
+                std::fprintf(hb, ", \"job_wall_us\": %s, \"merge_us\": %s",
+                             distSummaryJson(wallDist).c_str(),
+                             distSummaryJson(mergeDist).c_str());
             }
             std::fprintf(hb, "}\n");
             std::fflush(hb);
         }
-    }
-
-    void
-    dumpDist(const char* key, const StatsRegistry::Distribution& d)
-    {
-        std::fprintf(
-            hb,
-            "%s: {\"samples\": %llu, \"mean\": %.3f, \"p50\": %llu, "
-            "\"p90\": %llu, \"p99\": %llu, \"max\": %llu}",
-            key, static_cast<unsigned long long>(d.count()), d.mean(),
-            static_cast<unsigned long long>(d.quantile(0.50)),
-            static_cast<unsigned long long>(d.quantile(0.90)),
-            static_cast<unsigned long long>(d.quantile(0.99)),
-            static_cast<unsigned long long>(d.max()));
     }
 
     const CampaignOptions& opt;
@@ -162,6 +149,22 @@ class TelemetryEmitter
 };
 
 } // namespace
+
+std::string
+distSummaryJson(const StatsRegistry::Distribution& d)
+{
+    char buf[256];
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"samples\": %llu, \"mean\": %.3f, \"p50\": %llu, "
+        "\"p90\": %llu, \"p99\": %llu, \"max\": %llu}",
+        static_cast<unsigned long long>(d.count()), d.mean(),
+        static_cast<unsigned long long>(d.quantile(0.50)),
+        static_cast<unsigned long long>(d.quantile(0.90)),
+        static_cast<unsigned long long>(d.quantile(0.99)),
+        static_cast<unsigned long long>(d.max()));
+    return buf;
+}
 
 CampaignResult
 CampaignPool::run(std::size_t num_jobs, const CampaignOptions& opt,

@@ -102,6 +102,11 @@ struct CampaignOptions
     std::function<std::uint64_t()> failures;
 };
 
+/** One-line JSON summary of an HDR distribution: samples, mean, p50,
+ *  p90, p99 and max. The heartbeat's final record and tmsim_sweep's
+ *  campaign section print the telemetry distributions with it. */
+std::string distSummaryJson(const StatsRegistry::Distribution& d);
+
 /**
  * Type-erased pool core. Most callers want the typed runCampaign()
  * wrapper below; the core exists so the threading machinery compiles

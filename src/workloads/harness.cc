@@ -1,6 +1,7 @@
 #include "workloads/harness.hh"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "sim/logging.hh"
 #include "workloads/kernel_condsync.hh"
@@ -26,6 +27,47 @@ namedKernels()
         "contend",        "contend-mixed", "fuzz",
     };
     return names;
+}
+
+bool
+parseKernelFlag(const std::string& arg, const NextArg& next,
+                KernelParams& kp)
+{
+    if (arg == "--fuzz-seed")
+        kp.fuzzSeed = parseU64(next(), "--fuzz-seed");
+    else if (arg == "--jbb-ops")
+        kp.jbbOps = parseInt(next(), "--jbb-ops", 1);
+    else if (arg == "--jbb-customers")
+        kp.jbbCustomers = parseInt(next(), "--jbb-customers", 1);
+    else if (arg == "--jbb-stock")
+        kp.jbbStockItems = parseInt(next(), "--jbb-stock", 1);
+    else if (arg == "--jbb-warehouses")
+        kp.jbbWarehouses = parseInt(next(), "--jbb-warehouses", 1, 1024);
+    else if (arg == "--jbb-think")
+        kp.jbbThinkCycles = parseInt(next(), "--jbb-think", 0);
+    else if (arg == "--jbb-remote-pct")
+        kp.jbbRemotePct = parseInt(next(), "--jbb-remote-pct", 0, 100);
+    else if (arg == "--zipf")
+        kp.zipfS = parseDouble(next(), "--zipf", 0.0, 0.999);
+    else
+        return false;
+    return true;
+}
+
+void
+printKernelFlagsHelp()
+{
+    std::printf(
+        "  --fuzz-seed N      seed for the 'fuzz' kernel (default 1)\n"
+        "  --jbb-ops N        specjbb-*: total operations\n"
+        "  --jbb-customers N  specjbb-*: total customer keys\n"
+        "  --jbb-stock N      specjbb-*: total stock keys\n"
+        "  --jbb-warehouses N specjbb-*: warehouse shards (default 1)\n"
+        "  --jbb-think N      specjbb-*: think cycles per phase\n"
+        "  --jbb-remote-pct N specjbb-*: %% of new orders handed to\n"
+        "                     another warehouse (cross-shard)\n"
+        "  --zipf S           specjbb-*: Zipf skew in [0,1) for\n"
+        "                     warehouse/customer/item draws\n");
 }
 
 std::unique_ptr<Kernel>
@@ -105,16 +147,21 @@ makeNamedKernel(const std::string& name, const KernelParams& kp)
     return nullptr;
 }
 
-RunResult
-runKernel(Kernel& kernel, const HtmConfig& htm, int n_threads,
-          Addr mem_bytes, StatsRegistry* stats_out)
+MachineConfig
+kernelMachineConfig(const Kernel& kernel, const HtmConfig& htm,
+                    int n_threads, Addr mem_bytes)
 {
     MachineConfig cfg;
     cfg.numCpus = n_threads;
     cfg.htm = htm;
     cfg.memBytes = std::max(mem_bytes, kernel.memBytesHint());
-    Machine m(cfg);
+    return cfg;
+}
 
+RunResult
+runKernelOn(Machine& m, Kernel& kernel)
+{
+    const int n_threads = m.config().numCpus;
     kernel.init(m, n_threads);
 
     std::vector<std::unique_ptr<TxThread>> threads;
@@ -131,7 +178,7 @@ runKernel(Kernel& kernel, const HtmConfig& htm, int n_threads,
 
     RunResult r;
     r.kernel = kernel.name();
-    r.htm = htm.describe();
+    r.htm = m.config().htm.describe();
     r.threads = n_threads;
     r.cycles = m.run();
     r.commits = m.stats().sum("cpu*.htm.commits") +
@@ -144,6 +191,15 @@ runKernel(Kernel& kernel, const HtmConfig& htm, int n_threads,
         instr += m.cpu(i).instret();
     r.instructions = instr;
     r.verified = kernel.verify(m, n_threads);
+    return r;
+}
+
+RunResult
+runKernel(Kernel& kernel, const HtmConfig& htm, int n_threads,
+          Addr mem_bytes, StatsRegistry* stats_out)
+{
+    Machine m(kernelMachineConfig(kernel, htm, n_threads, mem_bytes));
+    RunResult r = runKernelOn(m, kernel);
     if (stats_out)
         stats_out->mergeFrom(m.stats());
     return r;

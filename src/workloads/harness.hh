@@ -14,6 +14,7 @@
 
 #include "core/machine.hh"
 #include "runtime/tx_thread.hh"
+#include "sim/parse.hh"
 
 namespace tmsim {
 
@@ -65,6 +66,17 @@ RunResult runKernel(Kernel& kernel, const HtmConfig& htm, int n_threads,
                     Addr mem_bytes = 64ull * 1024 * 1024,
                     StatsRegistry* stats_out = nullptr);
 
+/** The Machine runKernel builds for @p kernel: @p n_threads CPUs
+ *  under @p htm, with @p mem_bytes raised to its memBytesHint(). */
+MachineConfig kernelMachineConfig(const Kernel& kernel,
+                                  const HtmConfig& htm, int n_threads,
+                                  Addr mem_bytes = 64ull * 1024 * 1024);
+
+/** runKernel's run on a Machine the caller built (from
+ *  kernelMachineConfig) and keeps, e.g. to write its trace: init, one
+ *  TxThread per CPU, run, summarise, verify. */
+RunResult runKernelOn(Machine& m, Kernel& kernel);
+
 /** Names of every bundled kernel, in listing order. */
 const std::vector<std::string>& namedKernels();
 
@@ -85,6 +97,14 @@ struct KernelParams
     int jbbRemotePct = -1;
     double zipfS = -1.0;
 };
+
+/** One of the eight kernel flags (--fuzz-seed, --jbb-*, --zipf) into
+ *  @p kp; false for any other flag (see walkArgs in sim/parse.hh). */
+bool parseKernelFlag(const std::string& arg, const NextArg& next,
+                     KernelParams& kp);
+
+/** Help lines for the kernel flags, in the tools' usage layout. */
+void printKernelFlagsHelp();
 
 /** Instantiate a bundled kernel by name (nullptr if unknown). */
 std::unique_ptr<Kernel> makeNamedKernel(const std::string& name,

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "check/fuzz_driver.hh"
@@ -19,6 +20,7 @@
 #include "check/stm_interp.hh"
 #include "core/machine.hh"
 #include "runtime/tx_thread.hh"
+#include "sim/logging.hh"
 
 using namespace tmsim;
 
@@ -380,6 +382,127 @@ TEST(FuzzDriver, ConfigsCoverTheFourDesignPoints)
     EXPECT_EQ(undolog, 1);
     EXPECT_EQ(eager, 2);
     EXPECT_EQ(flatten, 1);
+}
+
+// --- the design-point table ----------------------------------------------
+
+namespace {
+
+struct PinnedPoint
+{
+    const char* name;
+    VersionMode version;
+    ConflictMode conflict;
+    NestingMode nesting;
+};
+
+/** Every driver, replay file and BENCH_*.json names the design points
+ *  this way and expects this order: eager-undolog runs first. */
+const PinnedPoint pinnedPoints[] = {
+    {"eager-undolog", VersionMode::UndoLog, ConflictMode::Eager,
+     NestingMode::Full},
+    {"eager-wb", VersionMode::WriteBuffer, ConflictMode::Eager,
+     NestingMode::Full},
+    {"lazy-wb", VersionMode::WriteBuffer, ConflictMode::Lazy,
+     NestingMode::Full},
+    {"lazy-wb-flatten", VersionMode::WriteBuffer, ConflictMode::Lazy,
+     NestingMode::Flatten},
+};
+
+/** Every setting a design point must leave as @p want has it. */
+void
+expectOnlyModesDiffer(const HtmConfig& got, const HtmConfig& want)
+{
+    EXPECT_EQ(got.scheme, want.scheme);
+    EXPECT_EQ(got.granularity, want.granularity);
+    EXPECT_EQ(got.contention, want.contention);
+    EXPECT_EQ(got.starvationThreshold, want.starvationThreshold);
+    EXPECT_EQ(got.maxHwLevels, want.maxHwLevels);
+    EXPECT_EQ(got.lazyMerge, want.lazyMerge);
+    EXPECT_EQ(got.rsetCap, want.rsetCap);
+    EXPECT_EQ(got.wsetCap, want.wsetCap);
+    EXPECT_EQ(got.capacityMode, want.capacityMode);
+    EXPECT_EQ(got.retryBackoff, want.retryBackoff);
+}
+
+} // namespace
+
+TEST(DesignPoints, NamesAndOrderArePinned)
+{
+    ASSERT_EQ(std::size(designPoints), std::size(pinnedPoints));
+    const auto cfgs = fuzzConfigs(tinyProgram());
+    ASSERT_EQ(cfgs.size(), std::size(pinnedPoints));
+    for (size_t i = 0; i < std::size(pinnedPoints); ++i) {
+        EXPECT_STREQ(designPoints[i].name, pinnedPoints[i].name);
+        EXPECT_EQ(cfgs[i].name, pinnedPoints[i].name);
+    }
+}
+
+TEST(DesignPoints, EachPointSetsItsThreeModes)
+{
+    for (const PinnedPoint& want : pinnedPoints) {
+        SCOPED_TRACE(want.name);
+        const DesignPoint& d = designPoint(want.name);
+        EXPECT_STREQ(d.name, want.name);
+        const HtmConfig htm = d.apply(HtmConfig{});
+        EXPECT_EQ(htm.version, want.version);
+        EXPECT_EQ(htm.conflict, want.conflict);
+        EXPECT_EQ(htm.nesting, want.nesting);
+        expectOnlyModesDiffer(htm, HtmConfig{});
+    }
+}
+
+TEST(DesignPoints, FuzzConfigsApplyTheProgramToggles)
+{
+    FuzzProgram p = tinyProgram();
+    p.wordGranularity = true;
+    p.contention = ContentionPolicy::Karma;
+    p.rsetCap = 3;
+    p.wsetCap = 5;
+    p.capacityMode = CapacityMode::Overflow;
+    HtmConfig toggled;
+    toggled.granularity = TrackGranularity::Word;
+    toggled.contention = ContentionPolicy::Karma;
+    toggled.rsetCap = 3;
+    toggled.wsetCap = 5;
+    toggled.capacityMode = CapacityMode::Overflow;
+
+    const auto cfgs = fuzzConfigs(p);
+    ASSERT_EQ(cfgs.size(), std::size(pinnedPoints));
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        SCOPED_TRACE(cfgs[i].name);
+        const HtmConfig& htm = cfgs[i].htm;
+        EXPECT_EQ(htm.version, pinnedPoints[i].version);
+        EXPECT_EQ(htm.conflict, pinnedPoints[i].conflict);
+        EXPECT_EQ(htm.nesting, pinnedPoints[i].nesting);
+        expectOnlyModesDiffer(htm, toggled);
+        expectOnlyModesDiffer(fuzzConfig(p, designPoint(cfgs[i].name)),
+                              toggled);
+    }
+    // An untoggled program runs the design points as they are.
+    for (const FuzzConfig& c : fuzzConfigs(tinyProgram()))
+        expectOnlyModesDiffer(c.htm, HtmConfig{});
+}
+
+TEST(DesignPoints, UnknownNameIsRejected)
+{
+    EXPECT_EQ(findChoice(designPoints, "lazy"), nullptr);
+    EXPECT_EQ(findChoice(designPoints, "eager-undolog-multitrack"),
+              nullptr);
+    LogContext ctx;
+    ctx.throwOnFatal = true;
+    LogScope scope(ctx);
+    try {
+        designPoint("bogus");
+        ADD_FAILURE() << "designPoint(\"bogus\") returned";
+    } catch (const FatalError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("'bogus'"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("eager-undolog|eager-wb|lazy-wb|"
+                           "lazy-wb-flatten"),
+                  std::string::npos)
+            << msg;
+    }
 }
 
 TEST(CommitOrderHooks, OneSerializePerOuterCommitInOrder)

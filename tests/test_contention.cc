@@ -310,12 +310,13 @@ TEST(ContentionConfig, PolicyNamesRoundTrip)
           ContentionPolicy::Karma, ContentionPolicy::Polite,
           ContentionPolicy::Hybrid}) {
         ContentionPolicy q;
-        EXPECT_TRUE(contentionPolicyFromName(contentionPolicyName(p), q));
+        EXPECT_TRUE(
+            choiceValue(contentionPolicyNames, contentionPolicyName(p), q));
         EXPECT_EQ(q, p);
     }
     ContentionPolicy pol;
-    EXPECT_FALSE(contentionPolicyFromName("nonsense", pol));
-    EXPECT_FALSE(contentionPolicyFromName("older", pol));
+    EXPECT_FALSE(choiceValue(contentionPolicyNames, "nonsense", pol));
+    EXPECT_FALSE(choiceValue(contentionPolicyNames, "older", pol));
 }
 
 // --- machine-level regression: same-tick lockstep writers ----------------
@@ -544,19 +545,7 @@ worstStreak(ContentionPolicy pol)
     Machine m(cfg);
 
     ContentionKernel k;
-    k.init(m, cfg.numCpus);
-
-    std::vector<std::unique_ptr<TxThread>> threads;
-    for (int i = 0; i < cfg.numCpus; ++i)
-        threads.push_back(std::make_unique<TxThread>(m.cpu(i)));
-    for (int i = 0; i < cfg.numCpus; ++i) {
-        TxThread* t = threads[static_cast<size_t>(i)].get();
-        m.spawn(i, [&k, t, &cfg, i](Cpu&) -> SimTask {
-            co_await k.thread(*t, i, cfg.numCpus);
-        });
-    }
-    m.run();
-    EXPECT_TRUE(k.verify(m, cfg.numCpus));
+    EXPECT_TRUE(runKernelOn(m, k).verified);
     const auto* dist = m.stats().findDistribution("htm.consec_aborts");
     return dist ? dist->max() : 0;
 }

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "workloads/kernel_iobench.hh"
 #include "workloads/kernel_mp3d.hh"
 #include "workloads/kernel_specjbb.hh"
@@ -28,6 +30,39 @@ TEST(Harness, RunResultFieldsArePopulated)
     EXPECT_GT(r.instructions, 0u);
     EXPECT_GT(r.commits, 0u);
     EXPECT_FALSE(r.htm.empty());
+}
+
+TEST(Harness, RunKernelOnACallerMachineMatchesRunKernel)
+{
+    // tmsim_run keeps the Machine (for --trace and --stats) and runs
+    // runKernel's two steps itself; both paths must agree exactly.
+    SciParams p = sciWater();
+    p.outerIters = 16;
+    SciKernel a(p);
+    SciKernel b(p);
+    HtmConfig htm = HtmConfig::eagerUndoLog();
+    StatsRegistry viaRunKernel;
+    const RunResult want =
+        runKernel(a, htm, 4, 64ull * 1024 * 1024, &viaRunKernel);
+    const MachineConfig cfg = kernelMachineConfig(b, htm, 4);
+    EXPECT_EQ(cfg.numCpus, 4);
+    EXPECT_EQ(cfg.memBytes, 64ull * 1024 * 1024);
+    Machine m(cfg);
+    const RunResult got = runKernelOn(m, b);
+    EXPECT_TRUE(got.verified);
+    EXPECT_EQ(got.kernel, want.kernel);
+    EXPECT_EQ(got.htm, want.htm);
+    EXPECT_EQ(got.threads, want.threads);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.commits, want.commits);
+    EXPECT_EQ(got.rollbacks, want.rollbacks);
+    EXPECT_EQ(got.violationsTaken, want.violationsTaken);
+    EXPECT_EQ(got.busBusyCycles, want.busBusyCycles);
+    std::ostringstream gotStats, wantStats;
+    m.stats().dumpJson(gotStats);
+    viaRunKernel.dumpJson(wantStats);
+    EXPECT_EQ(gotStats.str(), wantStats.str());
 }
 
 TEST(Harness, Fig5RowArithmeticIsConsistent)
@@ -54,27 +89,11 @@ namespace {
 
 /** Run a kernel inline so the final memory image can be corrupted
  *  before verify() is consulted. */
-template <typename K>
 bool
-verifyAfterCorruption(K& kernel, std::function<void(Machine&)> corrupt)
+verifyAfterCorruption(Kernel& kernel, std::function<void(Machine&)> corrupt)
 {
-    MachineConfig cfg;
-    cfg.numCpus = 4;
-    cfg.htm = HtmConfig::paperLazy();
-    cfg.memBytes = 64ull * 1024 * 1024;
-    Machine m(cfg);
-    kernel.init(m, 4);
-    std::vector<std::unique_ptr<TxThread>> threads;
-    for (int i = 0; i < 4; ++i)
-        threads.push_back(std::make_unique<TxThread>(m.cpu(i)));
-    for (int i = 0; i < 4; ++i) {
-        TxThread* t = threads[static_cast<size_t>(i)].get();
-        K* k = &kernel;
-        m.spawn(i,
-                [k, t, i](Cpu&) -> SimTask { co_await k->thread(*t, i, 4); });
-    }
-    m.run();
-    EXPECT_TRUE(kernel.verify(m, 4)); // sane before corruption
+    Machine m(kernelMachineConfig(kernel, HtmConfig::paperLazy(), 4));
+    EXPECT_TRUE(runKernelOn(m, kernel).verified); // sane before corruption
     corrupt(m);
     return kernel.verify(m, 4);
 }

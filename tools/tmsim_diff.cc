@@ -20,8 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -32,6 +30,7 @@
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "sim/stats.hh"
+#include "tool_flags.hh"
 
 using namespace tmsim;
 
@@ -40,24 +39,12 @@ namespace {
 void
 usage()
 {
+    std::printf("usage: tmsim_diff [options]\n");
+    printSeedToolHelp();
     std::printf(
-        "usage: tmsim_diff [options]\n"
-        "  --seeds N          diff N sequential seeds (default 200)\n"
-        "  --seed-start S     first seed (default 1)\n"
         "  --repeat N         STM runs per seed (default 2; each run\n"
         "                     is a fresh nondeterministic schedule)\n"
-        "  --json-stats FILE  write merged sim+stm stats as JSON\n"
-        "  --replay FILE      re-run one replay file instead of "
-        "fuzzing\n"
-        "  --expect-fail      with --replay: exit 0 iff the replay "
-        "still fails\n"
-        "  --out-dir DIR      where failing-seed replays are written "
-        "(default .)\n"
-        "  --max-ticks N      simulator tick limit per run\n"
-        "  --timeout-ms N     STM watchdog per run (default 10000)\n"
-        "  --selftest-inject  verify the STM pipeline catches an "
-        "injected bug\n"
-        "  --quiet            suppress simulator log output\n");
+        "  --timeout-ms N     STM watchdog per run (default 10000)\n");
 }
 
 struct DiffFailure
@@ -90,12 +77,7 @@ diffProgram(const FuzzProgram& p, Tick max_ticks, int repeat,
 {
     // Reference: the lazy write-buffer design point, the closest
     // simulated analogue of a lazy-versioning STM.
-    HtmConfig simCfg;
-    for (const FuzzConfig& c : fuzzConfigs(p)) {
-        if (c.name == "lazy-wb")
-            simCfg = c.htm;
-    }
-    FuzzInterp interp(p, simCfg);
+    FuzzInterp interp(p, fuzzConfig(p, designPoint("lazy-wb")));
     const ObservedRun simRun = interp.run(max_ticks, stats_out);
     const OracleVerdict simV = checkRun(p, simRun);
     if (!simV.ok)
@@ -127,22 +109,6 @@ diffProgram(const FuzzProgram& p, Tick max_ticks, int repeat,
         }
     }
     return DiffFailure{};
-}
-
-std::string
-writeReplay(const std::string& out_dir, const FuzzProgram& p,
-            const std::string& tag)
-{
-    std::ostringstream name;
-    name << out_dir << "/diff_" << tag << ".replay";
-    std::ofstream os(name.str());
-    if (!os) {
-        std::fprintf(stderr, "cannot write replay file %s\n",
-                     name.str().c_str());
-        return {};
-    }
-    os << p.serialize();
-    return name.str();
 }
 
 /**
@@ -186,148 +152,81 @@ selftestInject(Tick max_ticks, const StmConfig& scfg)
 int
 main(int argc, char** argv)
 {
-    std::uint64_t seeds = 200;
-    std::uint64_t seedStart = 1;
+    SeedToolOptions o;
     int repeat = 2;
-    std::string replayFile;
-    std::string outDir = ".";
-    std::string jsonStatsFile;
-    Tick maxTicks = FuzzInterp::defaultMaxTicks;
     std::uint64_t timeoutMs = 10'000;
-    bool expectFail = false;
-    bool selftest = false;
-    bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--seeds") {
-            seeds = parseU64(next(), "--seeds");
-            if (seeds == 0)
-                fatal("--seeds must be >= 1");
-        } else if (arg == "--seed-start") {
-            seedStart = parseU64(next(), "--seed-start");
-        } else if (arg == "--repeat") {
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (parseSeedToolFlag(arg, next, o))
+            return true;
+        if (arg == "--repeat")
             repeat = parseInt(next(), "--repeat", 1, 1000);
-        } else if (arg == "--json-stats") {
-            jsonStatsFile = next();
-        } else if (arg == "--replay") {
-            replayFile = next();
-        } else if (arg == "--expect-fail") {
-            expectFail = true;
-        } else if (arg == "--out-dir") {
-            outDir = next();
-        } else if (arg == "--max-ticks") {
-            maxTicks = parseU64(next(), "--max-ticks");
-        } else if (arg == "--timeout-ms") {
+        else if (arg == "--timeout-ms")
             timeoutMs = parseU64(next(), "--timeout-ms");
-        } else if (arg == "--selftest-inject") {
-            selftest = true;
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-            usage();
-            return 2;
-        }
-    }
+        else
+            return false;
+        return true;
+    });
 
-    defaultLogContext().quiet = quiet;
+    defaultLogContext().quiet = o.quiet;
 
     StmConfig scfg;
     scfg.opTimeout = std::chrono::milliseconds(timeoutMs);
 
-    if (selftest)
-        return selftestInject(maxTicks, scfg);
+    if (o.selftest)
+        return selftestInject(o.maxTicks, scfg);
 
-    if (!replayFile.empty()) {
-        std::ifstream is(replayFile);
-        if (!is)
-            fatal("cannot open replay file '%s'", replayFile.c_str());
-        std::stringstream buf;
-        buf << is.rdbuf();
-        FuzzProgram p;
-        std::string err;
-        if (!FuzzProgram::parse(buf.str(), p, &err))
-            fatal("malformed replay file: %s", err.c_str());
-        const DiffFailure fail =
-            diffProgram(p, maxTicks, repeat, scfg, nullptr);
-        if (fail.failed) {
-            std::printf("replay FAILS [%s]: %s\n", fail.engine.c_str(),
-                        fail.message.c_str());
-            return expectFail ? 0 : 1;
-        }
-        std::printf("replay passes on both engines\n");
-        if (expectFail) {
-            std::printf("error: --expect-fail but the replay no "
-                        "longer fails\n");
-            return 1;
-        }
-        return 0;
+    if (!o.replayFile.empty()) {
+        const DiffFailure fail = diffProgram(loadReplay(o.replayFile),
+                                             o.maxTicks, repeat, scfg,
+                                             nullptr);
+        return replayVerdict(fail.failed, fail.engine, fail.message,
+                             "replay passes on both engines",
+                             o.expectFail);
     }
 
     // Seeds run sequentially: each STM run already fans out across
     // host threads, so a seed-level worker pool would only fight it
     // for cores and add scheduling noise to the diff.
-    constexpr int maxReported = 5;
     int failures = 0;
     std::uint64_t diffed = 0;
     StatsRegistry merged;
 
-    for (std::uint64_t i = 0; i < seeds; ++i) {
-        const std::uint64_t s = seedStart + i;
+    for (std::uint64_t i = 0; i < o.seeds; ++i) {
+        const std::uint64_t s = o.seedStart + i;
         const FuzzProgram p = generateProgram(s);
         StatsRegistry stats;
         const DiffFailure fail =
-            diffProgram(p, maxTicks, repeat, scfg, &stats);
+            diffProgram(p, o.maxTicks, repeat, scfg, &stats);
         merged.mergeFrom(stats);
         ++diffed;
         if (!fail.failed) {
-            if ((i + 1) % 100 == 0) {
-                std::printf("... %llu/%llu seeds clean\n",
-                            static_cast<unsigned long long>(i + 1),
-                            static_cast<unsigned long long>(seeds));
-                std::fflush(stdout);
-            }
+            printSeedProgress(i, o.seeds);
             continue;
         }
         ++failures;
         const std::string path =
-            writeReplay(outDir, p, "seed_" + std::to_string(s));
-        std::printf("FAIL seed %llu [%s]: %s\n",
-                    static_cast<unsigned long long>(s),
-                    fail.engine.c_str(), fail.message.c_str());
-        if (!path.empty())
-            std::printf("     replay written to %s\n", path.c_str());
-        if (failures >= maxReported) {
-            std::printf("stopping after %d failures\n", failures);
+            writeReplay(p, o.outDir, "diff_seed_" + std::to_string(s));
+        if (!reportSeedFailure(s, fail.engine, fail.message, path,
+                               failures))
             break;
-        }
     }
 
-    if (!jsonStatsFile.empty()) {
+    if (!o.jsonStatsFile.empty()) {
         merged.counter("diff.seeds").set(diffed);
         merged.counter("diff.seeds_failing")
             .set(static_cast<std::uint64_t>(failures));
         merged.counter("diff.stm_runs_per_seed")
             .set(static_cast<std::uint64_t>(repeat));
-        std::ofstream os(jsonStatsFile);
-        if (!os)
-            fatal("cannot open stats file '%s'", jsonStatsFile.c_str());
+        std::ofstream os = openOutput(o.jsonStatsFile, "stats");
         merged.dumpJson(os);
     }
 
     if (failures == 0) {
         std::printf("OK: %llu seed(s), sim + %d stm run(s) each, "
                     "oracle clean, invariant state identical\n",
-                    static_cast<unsigned long long>(seeds), repeat);
+                    static_cast<unsigned long long>(o.seeds), repeat);
         return 0;
     }
     std::printf("%d failing seed(s)\n", failures);

@@ -21,10 +21,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <iterator>
 #include <string>
 
 #include "check/fuzz_driver.hh"
@@ -33,6 +30,7 @@
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "sim/stats.hh"
+#include "tool_flags.hh"
 
 using namespace tmsim;
 
@@ -41,38 +39,22 @@ namespace {
 void
 usage()
 {
+    std::printf("usage: tmsim_fuzz [options]\n");
+    printSeedToolHelp();
     std::printf(
-        "usage: tmsim_fuzz [options]\n"
-        "  --seeds N          fuzz N sequential seeds (default 200)\n"
-        "  --seed-start S     first seed (default 1)\n"
         "  --jobs N           host worker threads for the campaign "
         "(default 1;\n"
         "                     results are identical for any N)\n"
-        "  --json-stats FILE  write the campaign's merged stats "
-        "registry as JSON\n"
-        "  --replay FILE      re-run one replay file instead of fuzzing\n"
-        "  --expect-fail      with --replay: exit 0 iff the replay "
-        "still fails\n"
-        "  --out-dir DIR      where failing-seed replays are written "
-        "(default .)\n"
-        "  --max-ticks N      per-run simulated tick limit\n"
         "  --shrink-runs N    differential-run budget for shrinking "
-        "(default 400)\n"
-        "  --contention P     force one contention policy (requester|"
-        "timestamp|karma|polite|hybrid)\n"
-        "                     instead of the per-seed draw; also "
-        "overrides replays\n"
-        "  --rset-cap N       bound every config's per-level read-set "
-        "to N lines\n"
-        "  --wset-cap N       bound every config's per-level write-set "
-        "to N lines\n"
-        "  --capacity-mode M  abort|overflow: how over-cap accesses "
-        "are handled\n"
-        "                     (default abort); like --contention, "
-        "caps also\n"
-        "                     override replays and survive shrinking\n"
-        "  --selftest-inject  verify the pipeline catches an injected "
-        "bug\n"
+        "(default 400)\n");
+    printContentionHelp();
+    printCapacityHelp();
+    std::printf(
+        "                     --contention replaces the per-seed "
+        "policy draw;\n"
+        "                     it and the caps override replays and "
+        "survive\n"
+        "                     shrinking\n"
         "  --progress         live progress line on stderr (merged/"
         "total,\n"
         "                     failures, seeds/s, ETA)\n"
@@ -80,35 +62,7 @@ usage()
         "STATS.md);\n"
         "                     the final record summarises per-seed "
         "wall and\n"
-        "                     merge time distributions\n"
-        "  --quiet            suppress simulator log output\n");
-}
-
-std::string
-writeReplay(const std::string& out_dir, const FuzzProgram& p,
-            const std::string& tag)
-{
-    std::ostringstream name;
-    name << out_dir << "/fuzz_" << tag << ".replay";
-    std::ofstream os(name.str());
-    if (!os) {
-        std::fprintf(stderr, "cannot write replay file %s\n",
-                     name.str().c_str());
-        return {};
-    }
-    os << p.serialize();
-    return name.str();
-}
-
-void
-reportFailure(const FuzzProgram& shrunk, const FuzzFailure& fail,
-              const std::string& replay_path)
-{
-    std::printf("FAIL seed %llu [%s]: %s\n",
-                static_cast<unsigned long long>(shrunk.seed),
-                fail.config.c_str(), fail.message.c_str());
-    if (!replay_path.empty())
-        std::printf("     replay written to %s\n", replay_path.c_str());
+        "                     merge time distributions\n");
 }
 
 /**
@@ -143,21 +97,11 @@ selftestInject(const std::string& out_dir, int shrink_runs,
     std::printf("selftest: shrunk to %d thread(s), %zu tx(s)\n",
                 shrunk.numThreads(), shrunk.txs.size());
 
-    const std::string path = writeReplay(out_dir, shrunk, "selftest");
+    const std::string path = writeReplay(shrunk, out_dir, "fuzz_selftest");
     if (path.empty())
         return 1;
-    std::ifstream is(path);
-    std::stringstream buf;
-    buf << is.rdbuf();
-    FuzzProgram reparsed;
-    std::string err;
-    if (!FuzzProgram::parse(buf.str(), reparsed, &err)) {
-        std::printf("selftest: FAIL (replay did not re-parse: %s)\n",
-                    err.c_str());
-        return 1;
-    }
     const FuzzFailure replayFail =
-        runProgramAllConfigs(reparsed, max_ticks);
+        runProgramAllConfigs(loadReplay(path), max_ticks);
     if (!replayFail.failed || replayFail.config != shrunkFail.config) {
         std::printf("selftest: FAIL (replay did not reproduce the "
                     "original failure)\n");
@@ -174,124 +118,60 @@ selftestInject(const std::string& out_dir, int shrink_runs,
 int
 main(int argc, char** argv)
 {
-    std::uint64_t seeds = 200;
-    std::uint64_t seedStart = 1;
-    std::string replayFile;
-    std::string outDir = ".";
-    std::string jsonStatsFile;
-    Tick maxTicks = FuzzInterp::defaultMaxTicks;
+    SeedToolOptions o;
     int shrinkRuns = 400;
     int jobs = 1;
-    bool expectFail = false;
-    bool selftest = false;
-    bool quiet = false;
     bool progress = false;
     std::string heartbeatFile;
+    // Forced configuration: --contention and the capacity flags.
+    HtmConfig forced;
     bool forcePolicy = false;
-    ContentionPolicy policy = ContentionPolicy::Requester;
-    int rsetCap = 0;
-    int wsetCap = 0;
-    CapacityMode capMode = CapacityMode::Abort;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--seeds") {
-            seeds = parseU64(next(), "--seeds");
-            if (seeds == 0)
-                fatal("--seeds must be >= 1");
-        } else if (arg == "--seed-start") {
-            seedStart = parseU64(next(), "--seed-start");
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (parseSeedToolFlag(arg, next, o) ||
+            parseCapacityFlag(arg, next, forced))
+            return true;
+        if (parseContentionFlag(arg, next, forced.contention)) {
+            forcePolicy = true;
         } else if (arg == "--jobs") {
             jobs = parseInt(next(), "--jobs", 1, 1024);
-        } else if (arg == "--json-stats") {
-            jsonStatsFile = next();
-        } else if (arg == "--replay") {
-            replayFile = next();
-        } else if (arg == "--expect-fail") {
-            expectFail = true;
-        } else if (arg == "--out-dir") {
-            outDir = next();
-        } else if (arg == "--max-ticks") {
-            maxTicks = parseU64(next(), "--max-ticks");
         } else if (arg == "--shrink-runs") {
             shrinkRuns = parseInt(next(), "--shrink-runs", 0);
-        } else if (arg == "--contention") {
-            const std::string name = next();
-            if (!contentionPolicyFromName(name, policy))
-                fatal("unknown contention policy '%s'", name.c_str());
-            forcePolicy = true;
-        } else if (arg == "--rset-cap") {
-            rsetCap = parseInt(next(), "--rset-cap", 0, 100000);
-        } else if (arg == "--wset-cap") {
-            wsetCap = parseInt(next(), "--wset-cap", 0, 100000);
-        } else if (arg == "--capacity-mode") {
-            const std::string name = next();
-            if (!capacityModeFromName(name, capMode))
-                fatal("unknown capacity mode '%s'", name.c_str());
-        } else if (arg == "--selftest-inject") {
-            selftest = true;
         } else if (arg == "--progress") {
             progress = true;
         } else if (arg == "--heartbeat") {
             heartbeatFile = next();
-        } else if (arg == "--quiet") {
-            quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
         } else {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-            usage();
-            return 2;
+            return false;
         }
-    }
+        return true;
+    });
 
-    defaultLogContext().quiet = quiet;
+    defaultLogContext().quiet = o.quiet;
 
     // Forced-configuration overrides, applied identically to generated,
     // replayed and re-generated (shrink input) programs.
     auto applyForced = [&](FuzzProgram& p) {
         if (forcePolicy)
-            p.contention = policy;
-        if (rsetCap > 0 || wsetCap > 0) {
-            p.rsetCap = rsetCap;
-            p.wsetCap = wsetCap;
-            p.capacityMode = capMode;
+            p.contention = forced.contention;
+        if (forced.boundedCapacity()) {
+            p.rsetCap = forced.rsetCap;
+            p.wsetCap = forced.wsetCap;
+            p.capacityMode = forced.capacityMode;
         }
     };
 
-    if (selftest)
-        return selftestInject(outDir, shrinkRuns, maxTicks);
+    if (o.selftest)
+        return selftestInject(o.outDir, shrinkRuns, o.maxTicks);
 
-    if (!replayFile.empty()) {
-        std::ifstream is(replayFile);
-        if (!is)
-            fatal("cannot open replay file '%s'", replayFile.c_str());
-        std::stringstream buf;
-        buf << is.rdbuf();
-        FuzzProgram p;
-        std::string err;
-        if (!FuzzProgram::parse(buf.str(), p, &err))
-            fatal("malformed replay file: %s", err.c_str());
+    if (!o.replayFile.empty()) {
+        FuzzProgram p = loadReplay(o.replayFile);
         applyForced(p);
-        const FuzzFailure fail = runProgramAllConfigs(p, maxTicks);
-        if (fail.failed) {
-            std::printf("replay FAILS [%s]: %s\n", fail.config.c_str(),
-                        fail.message.c_str());
-            return expectFail ? 0 : 1;
-        }
-        std::printf("replay passes across all configs\n");
-        if (expectFail) {
-            std::printf("error: --expect-fail but the replay no "
-                        "longer fails\n");
-            return 1;
-        }
-        return 0;
+        const FuzzFailure fail = runProgramAllConfigs(p, o.maxTicks);
+        return replayVerdict(fail.failed, fail.config, fail.message,
+                             "replay passes across all configs",
+                             o.expectFail);
     }
 
     // The campaign: one job per seed, each with fully isolated
@@ -303,13 +183,12 @@ main(int argc, char** argv)
         StatsRegistry stats;
     };
 
-    constexpr int maxReported = 5;
     int failures = 0;
     StatsRegistry merged;
 
     CampaignOptions opt;
     opt.jobs = jobs;
-    opt.quiet = quiet;
+    opt.quiet = o.quiet;
     // Telemetry goes to stderr / the heartbeat file only; the merged
     // registry stays wall-clock-free so --jobs N output is identical.
     opt.progress = progress;
@@ -318,71 +197,64 @@ main(int argc, char** argv)
         return static_cast<std::uint64_t>(failures);
     };
     const CampaignResult cres = runCampaign<SeedResult>(
-        static_cast<std::size_t>(seeds), opt,
+        static_cast<std::size_t>(o.seeds), opt,
         [&](std::size_t i) {
-            FuzzProgram p = generateProgram(seedStart + i);
+            FuzzProgram p = generateProgram(o.seedStart + i);
             applyForced(p);
             SeedResult r;
-            r.fail = runProgramAllConfigs(p, maxTicks, &r.stats);
+            r.fail = runProgramAllConfigs(p, o.maxTicks, &r.stats);
             return r;
         },
         [&](std::size_t i, SeedResult&& r) {
             merged.mergeFrom(r.stats);
             if (!r.fail.failed) {
-                if ((i + 1) % 100 == 0) {
-                    std::printf("... %llu/%llu seeds clean\n",
-                                static_cast<unsigned long long>(i + 1),
-                                static_cast<unsigned long long>(seeds));
-                    std::fflush(stdout);
-                }
+                printSeedProgress(i, o.seeds);
                 return true;
             }
             ++failures;
-            const std::uint64_t s = seedStart + i;
+            const std::uint64_t s = o.seedStart + i;
             FuzzProgram p = generateProgram(s);
             applyForced(p);
             // Shrink sequentially on the merging thread: deterministic
             // regardless of how many workers ran the campaign.
             const FuzzProgram shrunk =
-                shrinkProgram(p, shrinkRuns, maxTicks);
+                shrinkProgram(p, shrinkRuns, o.maxTicks);
             // Shrinking re-checks every candidate, so the shrunk
             // program still fails (possibly with a different
             // first-failing config).
-            const FuzzFailure sf = runProgramAllConfigs(shrunk, maxTicks);
+            const FuzzFailure sf =
+                runProgramAllConfigs(shrunk, o.maxTicks);
+            const FuzzFailure& shown = sf.failed ? sf : r.fail;
             const std::string path = writeReplay(
-                outDir, shrunk, "seed_" + std::to_string(s));
-            reportFailure(shrunk, sf.failed ? sf : r.fail, path);
-            if (failures >= maxReported) {
-                std::printf("stopping after %d failures\n", failures);
-                return false;
-            }
-            return true;
+                shrunk, o.outDir, "fuzz_seed_" + std::to_string(s));
+            return reportSeedFailure(shrunk.seed, shown.config,
+                                     shown.message, path, failures);
         });
 
     if (cres.failed) {
         std::fprintf(stderr,
                      "fatal: campaign cancelled at seed %llu: %s\n",
-                     static_cast<unsigned long long>(seedStart +
+                     static_cast<unsigned long long>(o.seedStart +
                                                      cres.failedJob),
                      cres.message.c_str());
         return 1;
     }
 
-    if (!jsonStatsFile.empty()) {
+    if (!o.jsonStatsFile.empty()) {
         merged.counter("campaign.seeds").set(cres.merged);
         merged.counter("campaign.seeds_failing")
             .set(static_cast<std::uint64_t>(failures));
-        merged.counter("campaign.configs_per_seed").set(4);
-        std::ofstream os(jsonStatsFile);
-        if (!os)
-            fatal("cannot open stats file '%s'", jsonStatsFile.c_str());
+        merged.counter("campaign.configs_per_seed")
+            .set(std::size(designPoints));
+        std::ofstream os = openOutput(o.jsonStatsFile, "stats");
         merged.dumpJson(os);
     }
 
     if (failures == 0) {
-        std::printf("OK: %llu seed(s) x 4 configs, oracle clean, "
+        std::printf("OK: %llu seed(s) x %zu configs, oracle clean, "
                     "mode-invariant state identical\n",
-                    static_cast<unsigned long long>(seeds));
+                    static_cast<unsigned long long>(o.seeds),
+                    std::size(designPoints));
         return 0;
     }
     std::printf("%d failing seed(s)\n", failures);

@@ -10,19 +10,15 @@
  *   tmsim_run --list
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <initializer_list>
+#include <cstdlib>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "sim/logging.hh"
 #include "sim/parse.hh"
 #include "sim/trace.hh"
+#include "tool_flags.hh"
 #include "workloads/harness.hh"
 
 using namespace tmsim;
@@ -34,56 +30,33 @@ usage()
 {
     std::printf(
         "usage: tmsim_run --kernel NAME [options]\n"
-        "  --kernel NAME        workload (see --list)\n"
-        "  --cpus N             CPUs / threads (default 8)\n"
-        "  --version wb|undolog speculative versioning\n"
-        "  --conflict lazy|eager\n"
-        "  --contention P       contention manager: requester|timestamp|\n"
-        "                       karma|polite|hybrid\n"
-        "  --starvation-k N     hybrid: escalate after N consecutive\n"
-        "                       aborts (default 8)\n"
-        "  --nesting full|flatten\n"
-        "  --scheme assoc|multitrack  (cache nesting scheme)\n"
-        "  --granularity line|word    (conflict tracking)\n"
-        "  --rset-cap N         bound per-level read-sets to N lines\n"
-        "                       (0 = unbounded, the default)\n"
-        "  --wset-cap N         bound per-level write-sets to N lines\n"
-        "  --capacity-mode M    abort|overflow: over-cap handling\n"
-        "  --no-backoff         disable retry backoff\n"
-        "  --jbb-ops N          specjbb-*: total operations\n"
-        "  --jbb-customers N    specjbb-*: total customer keys\n"
-        "  --jbb-stock N        specjbb-*: total stock keys\n"
-        "  --jbb-warehouses N   specjbb-*: warehouse shards (default 1)\n"
-        "  --jbb-think N        specjbb-*: think cycles per phase\n"
-        "  --jbb-remote-pct N   specjbb-*: %% of new orders handed to\n"
-        "                       another warehouse (cross-shard)\n"
-        "  --zipf S             specjbb-*: Zipf skew in [0,1) for\n"
-        "                       warehouse/customer/item draws\n"
-        "  --fuzz-seed N        seed for the 'fuzz' kernel (default 1)\n"
-        "  --stats              dump every counter after the run\n"
-        "  --trace FILE         write a Chrome trace-event JSON of every\n"
-        "                       transaction lifecycle event (Perfetto)\n"
-        "  --json-stats FILE    write the full stats registry as JSON\n"
-        "  --quiet              suppress simulator log output (default:\n"
-        "                       warnings and above are shown)\n"
-        "  --list               list kernels\n");
-}
-
-/** The value @p choices pairs with @p val; fatal, naming every
- *  accepted spelling, for anything else. */
-template <typename E>
-E
-parseChoice(const std::string& val, const char* flag,
-            std::initializer_list<std::pair<const char*, E>> choices)
-{
-    std::string names;
-    for (const auto& [name, e] : choices) {
-        if (val == name)
-            return e;
-        names += names.empty() ? name : std::string("|") + name;
-    }
-    fatal("%s: unknown value '%s' (expected %s)", flag, val.c_str(),
-          names.c_str());
+        "  --kernel NAME      workload (see --list)\n"
+        "  --cpus N           CPUs / threads (default 8)\n"
+        "  --version MODE     speculative versioning: %s\n"
+        "  --conflict MODE    conflict detection: %s\n",
+        choiceList(versionModeNames).c_str(),
+        choiceList(conflictModeNames).c_str());
+    printContentionHelp();
+    std::printf(
+        "  --starvation-k N   hybrid: escalate after N consecutive\n"
+        "                     aborts (default 8)\n"
+        "  --nesting MODE     nested transactions: %s\n"
+        "  --scheme MODE      cache nesting scheme: %s\n"
+        "  --granularity MODE conflict tracking: %s\n",
+        choiceList(nestingModeNames).c_str(),
+        choiceList(nestSchemeNames).c_str(),
+        choiceList(trackGranularityNames).c_str());
+    printCapacityHelp();
+    std::printf("  --no-backoff       disable retry backoff\n");
+    printKernelFlagsHelp();
+    std::printf(
+        "  --stats            dump every counter after the run\n"
+        "  --trace FILE       write a Chrome trace-event JSON of every\n"
+        "                     transaction lifecycle event (Perfetto)\n"
+        "  --json-stats FILE  write the full stats registry as JSON\n"
+        "  --quiet            suppress simulator log output (default:\n"
+        "                     warnings and above are shown)\n"
+        "  --list             list kernels\n");
 }
 
 } // namespace
@@ -100,81 +73,41 @@ main(int argc, char** argv)
     bool dumpStats = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (parseContentionFlag(arg, next, htm.contention) ||
+            parseCapacityFlag(arg, next, htm) ||
+            parseKernelFlag(arg, next, kp))
+            return true;
         if (arg == "--kernel") {
             kernelName = next();
         } else if (arg == "--cpus") {
             cpus = parseInt(next(), "--cpus", 1, 128);
         } else if (arg == "--version") {
-            htm.version = parseChoice<VersionMode>(
-                next(), "--version",
-                {{"wb", VersionMode::WriteBuffer},
-                 {"undolog", VersionMode::UndoLog}});
+            htm.version =
+                parseChoice(next(), "--version", versionModeNames).value;
             if (htm.version == VersionMode::UndoLog)
                 htm.conflict = ConflictMode::Eager;
         } else if (arg == "--conflict") {
-            htm.conflict = parseChoice<ConflictMode>(
-                next(), "--conflict",
-                {{"lazy", ConflictMode::Lazy},
-                 {"eager", ConflictMode::Eager}});
+            htm.conflict =
+                parseChoice(next(), "--conflict", conflictModeNames).value;
         } else if (arg == "--policy") {
             fatal("--policy was removed; use --contention "
                   "requester|timestamp");
-        } else if (arg == "--contention") {
-            const std::string name = next();
-            if (!contentionPolicyFromName(name, htm.contention))
-                fatal("unknown contention policy '%s'", name.c_str());
         } else if (arg == "--starvation-k") {
             htm.starvationThreshold = parseInt(next(), "--starvation-k", 1);
         } else if (arg == "--nesting") {
-            htm.nesting = parseChoice<NestingMode>(
-                next(), "--nesting",
-                {{"full", NestingMode::Full},
-                 {"flatten", NestingMode::Flatten}});
+            htm.nesting =
+                parseChoice(next(), "--nesting", nestingModeNames).value;
         } else if (arg == "--scheme") {
-            htm.scheme = parseChoice<NestScheme>(
-                next(), "--scheme",
-                {{"assoc", NestScheme::Associativity},
-                 {"multitrack", NestScheme::MultiTracking}});
+            htm.scheme =
+                parseChoice(next(), "--scheme", nestSchemeNames).value;
         } else if (arg == "--granularity") {
-            htm.granularity = parseChoice<TrackGranularity>(
-                next(), "--granularity",
-                {{"line", TrackGranularity::Line},
-                 {"word", TrackGranularity::Word}});
-        } else if (arg == "--rset-cap") {
-            htm.rsetCap = parseInt(next(), "--rset-cap", 0, 100000);
-        } else if (arg == "--wset-cap") {
-            htm.wsetCap = parseInt(next(), "--wset-cap", 0, 100000);
-        } else if (arg == "--capacity-mode") {
-            const std::string name = next();
-            if (!capacityModeFromName(name, htm.capacityMode))
-                fatal("unknown capacity mode '%s'", name.c_str());
+            htm.granularity =
+                parseChoice(next(), "--granularity", trackGranularityNames)
+                    .value;
         } else if (arg == "--no-backoff") {
             htm.retryBackoff = false;
-        } else if (arg == "--jbb-ops") {
-            kp.jbbOps = parseInt(next(), "--jbb-ops", 1);
-        } else if (arg == "--jbb-customers") {
-            kp.jbbCustomers = parseInt(next(), "--jbb-customers", 1);
-        } else if (arg == "--jbb-stock") {
-            kp.jbbStockItems = parseInt(next(), "--jbb-stock", 1);
-        } else if (arg == "--jbb-warehouses") {
-            kp.jbbWarehouses = parseInt(next(), "--jbb-warehouses", 1,
-                                        1024);
-        } else if (arg == "--jbb-think") {
-            kp.jbbThinkCycles = parseInt(next(), "--jbb-think", 0);
-        } else if (arg == "--jbb-remote-pct") {
-            kp.jbbRemotePct = parseInt(next(), "--jbb-remote-pct", 0,
-                                       100);
-        } else if (arg == "--zipf") {
-            kp.zipfS = parseDouble(next(), "--zipf", 0.0, 0.999);
-        } else if (arg == "--fuzz-seed") {
-            kp.fuzzSeed = parseU64(next(), "--fuzz-seed");
         } else if (arg == "--stats") {
             dumpStats = true;
         } else if (arg == "--trace") {
@@ -186,16 +119,12 @@ main(int argc, char** argv)
         } else if (arg == "--list") {
             for (const std::string& n : namedKernels())
                 std::printf("%s\n", n.c_str());
-            return 0;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
+            std::exit(0);
         } else {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-            usage();
-            return 2;
+            return false;
         }
-    }
+        return true;
+    });
 
     if (kernelName.empty()) {
         usage();
@@ -207,65 +136,37 @@ main(int argc, char** argv)
 
     defaultLogContext().quiet = quiet;
 
-    MachineConfig cfg;
-    cfg.numCpus = cpus;
-    cfg.htm = htm;
-    cfg.memBytes = std::max(cfg.memBytes, kernel->memBytesHint());
-    Machine m(cfg);
+    Machine m(kernelMachineConfig(*kernel, htm, cpus));
     if (!traceFile.empty())
         m.tracer().enable(true);
-    kernel->init(m, cpus);
-
-    std::vector<std::unique_ptr<TxThread>> threads;
-    for (int i = 0; i < cpus; ++i)
-        threads.push_back(std::make_unique<TxThread>(m.cpu(i)));
-    for (int i = 0; i < cpus; ++i) {
-        Kernel* k = kernel.get();
-        TxThread* t = threads[static_cast<size_t>(i)].get();
-        m.spawn(i, [k, t, i, cpus](Cpu&) -> SimTask {
-            co_await k->thread(*t, i, cpus);
-        });
-    }
-
-    Tick cycles = m.run();
-    bool verified = kernel->verify(m, cpus);
-
-    std::uint64_t instr = 0;
-    for (int i = 0; i < cpus; ++i)
-        instr += m.cpu(i).instret();
+    const RunResult r = runKernelOn(m, *kernel);
 
     std::printf("kernel       %s\n", kernelName.c_str());
-    std::printf("htm          %s%s\n", htm.describe().c_str(),
+    std::printf("htm          %s%s\n", r.htm.c_str(),
                 htm.granularity == TrackGranularity::Word ? "/word" : "");
     std::printf("cpus         %d\n", cpus);
     std::printf("cycles       %llu\n",
-                static_cast<unsigned long long>(cycles));
+                static_cast<unsigned long long>(r.cycles));
     std::printf("instructions %llu\n",
-                static_cast<unsigned long long>(instr));
+                static_cast<unsigned long long>(r.instructions));
     std::printf("commits      %llu\n",
-                static_cast<unsigned long long>(
-                    m.stats().sum("cpu*.htm.commits") +
-                    m.stats().sum("cpu*.htm.open_commits")));
+                static_cast<unsigned long long>(r.commits));
     std::printf("rollbacks    %llu (outer %llu, inner %llu)\n",
-                static_cast<unsigned long long>(
-                    m.stats().sum("cpu*.htm.rollbacks")),
+                static_cast<unsigned long long>(r.rollbacks),
                 static_cast<unsigned long long>(
                     m.stats().sum("cpu*.rollbacks_outer")),
                 static_cast<unsigned long long>(
                     m.stats().sum("cpu*.rollbacks_inner")));
     std::printf("bus busy     %llu cycles\n",
-                static_cast<unsigned long long>(
-                    m.stats().value("bus.busy_cycles")));
-    std::printf("verified     %s\n", verified ? "yes" : "NO");
+                static_cast<unsigned long long>(r.busBusyCycles));
+    std::printf("verified     %s\n", r.verified ? "yes" : "NO");
 
     if (dumpStats) {
         std::printf("---- stats ----\n");
         m.stats().dump(std::cout);
     }
     if (!traceFile.empty()) {
-        std::ofstream os(traceFile);
-        if (!os)
-            fatal("cannot open trace file '%s'", traceFile.c_str());
+        std::ofstream os = openOutput(traceFile, "trace");
         m.tracer().writeChromeTrace(os);
         if (m.tracer().droppedCount())
             std::fprintf(stderr,
@@ -275,10 +176,8 @@ main(int argc, char** argv)
                              m.tracer().droppedCount()));
     }
     if (!jsonStatsFile.empty()) {
-        std::ofstream os(jsonStatsFile);
-        if (!os)
-            fatal("cannot open stats file '%s'", jsonStatsFile.c_str());
+        std::ofstream os = openOutput(jsonStatsFile, "stats");
         m.stats().dumpJson(os);
     }
-    return verified ? 0 : 1;
+    return r.verified ? 0 : 1;
 }

@@ -2,7 +2,9 @@
 # The enum flags used to map any value they did not recognise to a
 # default: "--conflict eagr" quietly ran lazy. Unknown values must now
 # fail and name the flag; the removed --policy must point at
-# --contention, and the removed --store must be refused.
+# --contention, and the removed --store must be refused. The contention
+# and capacity flags of tmsim_run, tmsim_fuzz and tmsim_sweep must also
+# list the accepted values.
 
 foreach(flag version conflict nesting scheme granularity)
     execute_process(
@@ -18,6 +20,35 @@ foreach(flag version conflict nesting scheme granularity)
                 "--${flag} bogus diagnostic does not name the flag: ${err}")
     endif()
 endforeach()
+
+# Runs ARGN, which must fail with "FLAG: unknown value 'bogus'
+# (expected VALUES)"; VALUES is a regex.
+function(expect_enum_diagnostic flag values)
+    execute_process(
+        COMMAND ${ARGN}
+        RESULT_VARIABLE rc
+        ERROR_VARIABLE err
+        OUTPUT_QUIET)
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "${ARGN}: accepted (rc=0)")
+    endif()
+    if(NOT err MATCHES "${flag}: unknown value 'bogus' \\(expected ${values}\\)")
+        message(FATAL_ERROR
+                "${ARGN}: diagnostic does not name ${flag} and its "
+                "values: ${err}")
+    endif()
+endfunction()
+
+set(policies "requester\\|timestamp\\|karma\\|polite\\|hybrid")
+set(capmodes "abort\\|overflow")
+expect_enum_diagnostic(--contention "${policies}"
+    ${TMSIM_RUN} --kernel contend --cpus 2 --contention bogus)
+expect_enum_diagnostic(--capacity-mode "${capmodes}"
+    ${TMSIM_RUN} --kernel contend --cpus 2 --capacity-mode bogus)
+expect_enum_diagnostic(--contention "${policies}"
+    ${TMSIM_FUZZ} --seeds 1 --quiet --contention bogus)
+expect_enum_diagnostic(--capacity-mode "${capmodes}"
+    ${TMSIM_SWEEP} --kernel contend --quiet --capacity-mode bogus)
 
 execute_process(
     COMMAND ${TMSIM_RUN} --kernel contend --cpus 2 --policy older

@@ -11,6 +11,9 @@
  *   tmsim_sweep --kernel mp3d --cpus 1,2,4,8 --jobs 8 \
  *               --json-stats mp3d.sweep.json
  *   tmsim_sweep --kernel contend --configs lazy-wb,eager-undolog
+ *
+ * The design points and their names come from designPoints
+ * (htm/htm_config.hh); the default grid runs all four in that order.
  */
 
 #include <chrono>
@@ -24,6 +27,7 @@
 #include "sim/campaign.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
+#include "tool_flags.hh"
 #include "workloads/harness.hh"
 
 using namespace tmsim;
@@ -38,53 +42,6 @@ namespace {
  *  nondeterministic fields in the document; sweep_smoke strips them
  *  before comparing --jobs 1 against --jobs 4. */
 constexpr int sweepSchemaVersion = 2;
-
-/** One-line JSON summary of an HDR distribution (host-time fields). */
-std::string
-distSummary(const StatsRegistry::Distribution& d)
-{
-    char buf[256];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"samples\": %llu, \"mean\": %.3f, \"p50\": %llu, "
-        "\"p90\": %llu, \"p99\": %llu, \"max\": %llu}",
-        static_cast<unsigned long long>(d.count()), d.mean(),
-        static_cast<unsigned long long>(d.quantile(0.50)),
-        static_cast<unsigned long long>(d.quantile(0.90)),
-        static_cast<unsigned long long>(d.quantile(0.99)),
-        static_cast<unsigned long long>(d.max()));
-    return buf;
-}
-
-struct SweepConfig
-{
-    const char* name;
-    VersionMode version;
-    ConflictMode conflict;
-    NestingMode nesting;
-};
-
-/** The four design points the paper contrasts (same naming as the
- *  differential fuzzer's configs). */
-const SweepConfig sweepConfigs[] = {
-    {"lazy-wb", VersionMode::WriteBuffer, ConflictMode::Lazy,
-     NestingMode::Full},
-    {"eager-wb", VersionMode::WriteBuffer, ConflictMode::Eager,
-     NestingMode::Full},
-    {"eager-undolog", VersionMode::UndoLog, ConflictMode::Eager,
-     NestingMode::Full},
-    {"lazy-wb-flatten", VersionMode::WriteBuffer, ConflictMode::Lazy,
-     NestingMode::Flatten},
-};
-
-const SweepConfig*
-findConfig(const std::string& name)
-{
-    for (const SweepConfig& c : sweepConfigs)
-        if (name == c.name)
-            return &c;
-    return nullptr;
-}
 
 std::vector<std::string>
 splitList(const std::string& s)
@@ -111,27 +68,18 @@ usage()
         "  --kernel NAME      workload (tmsim_run --list)\n"
         "  --cpus LIST        comma-separated CPU counts "
         "(default 1,2,4,8)\n"
-        "  --configs LIST     design points: lazy-wb,eager-wb,"
-        "eager-undolog,\n"
-        "                     lazy-wb-flatten (default: all four)\n"
+        "  --configs LIST     comma-separated design points (default: "
+        "all\n"
+        "                     four): %s\n"
         "  --jobs N           host worker threads (default 1; the "
         "merged\n"
         "                     document is identical for any N)\n"
         "  --json-stats FILE  write the merged sweep document "
-        "(default stdout)\n"
-        "  --fuzz-seed N      seed for the 'fuzz' kernel (default 1)\n"
-        "  --jbb-ops N        specjbb-*: total operations\n"
-        "  --jbb-customers N  specjbb-*: total customer keys\n"
-        "  --jbb-stock N      specjbb-*: total stock keys\n"
-        "  --jbb-warehouses N specjbb-*: warehouse shards\n"
-        "  --jbb-think N      specjbb-*: think cycles per phase\n"
-        "  --jbb-remote-pct N specjbb-*: %% cross-shard new orders\n"
-        "  --zipf S           specjbb-*: Zipf skew in [0,1)\n"
-        "  --rset-cap N       bound per-level read-sets to N lines\n"
-        "                     (0 = unbounded, the default)\n"
-        "  --wset-cap N       bound per-level write-sets to N lines\n"
-        "  --capacity-mode M  abort|overflow: over-cap handling\n"
-        "  --quiet            suppress simulator log output\n");
+        "(default stdout)\n",
+        choiceList(designPoints).c_str());
+    printKernelFlagsHelp();
+    printCapacityHelp();
+    std::printf("  --quiet            suppress simulator log output\n");
 }
 
 } // namespace
@@ -146,64 +94,30 @@ main(int argc, char** argv)
     KernelParams kp;
     int jobs = 1;
     bool quiet = false;
-    int rsetCap = 0;
-    int wsetCap = 0;
-    CapacityMode capMode = CapacityMode::Abort;
+    // Every cell's config: the capacity flags, then its design point.
+    HtmConfig base;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", arg.c_str());
-            return argv[++i];
-        };
-        if (arg == "--kernel") {
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
+        if (parseKernelFlag(arg, next, kp) ||
+            parseCapacityFlag(arg, next, base))
+            return true;
+        if (arg == "--kernel")
             kernelName = next();
-        } else if (arg == "--cpus") {
+        else if (arg == "--cpus")
             cpusList = next();
-        } else if (arg == "--configs") {
+        else if (arg == "--configs")
             configsList = next();
-        } else if (arg == "--jobs") {
+        else if (arg == "--jobs")
             jobs = parseInt(next(), "--jobs", 1, 1024);
-        } else if (arg == "--json-stats") {
+        else if (arg == "--json-stats")
             jsonStatsFile = next();
-        } else if (arg == "--fuzz-seed") {
-            kp.fuzzSeed = parseU64(next(), "--fuzz-seed");
-        } else if (arg == "--jbb-ops") {
-            kp.jbbOps = parseInt(next(), "--jbb-ops", 1);
-        } else if (arg == "--jbb-customers") {
-            kp.jbbCustomers = parseInt(next(), "--jbb-customers", 1);
-        } else if (arg == "--jbb-stock") {
-            kp.jbbStockItems = parseInt(next(), "--jbb-stock", 1);
-        } else if (arg == "--jbb-warehouses") {
-            kp.jbbWarehouses = parseInt(next(), "--jbb-warehouses", 1,
-                                        1024);
-        } else if (arg == "--jbb-think") {
-            kp.jbbThinkCycles = parseInt(next(), "--jbb-think", 0);
-        } else if (arg == "--jbb-remote-pct") {
-            kp.jbbRemotePct = parseInt(next(), "--jbb-remote-pct", 0,
-                                       100);
-        } else if (arg == "--zipf") {
-            kp.zipfS = parseDouble(next(), "--zipf", 0.0, 0.999);
-        } else if (arg == "--rset-cap") {
-            rsetCap = parseInt(next(), "--rset-cap", 0, 100000);
-        } else if (arg == "--wset-cap") {
-            wsetCap = parseInt(next(), "--wset-cap", 0, 100000);
-        } else if (arg == "--capacity-mode") {
-            const std::string name = next();
-            if (!capacityModeFromName(name, capMode))
-                fatal("unknown capacity mode '%s'", name.c_str());
-        } else if (arg == "--quiet") {
+        else if (arg == "--quiet")
             quiet = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-            usage();
-            return 2;
-        }
-    }
+        else
+            return false;
+        return true;
+    });
 
     if (kernelName.empty()) {
         usage();
@@ -217,19 +131,13 @@ main(int argc, char** argv)
     for (const std::string& tok : splitList(cpusList))
         cpuCounts.push_back(parseInt(tok, "--cpus", 1, 128));
 
-    std::vector<const SweepConfig*> configs;
+    std::vector<const DesignPoint*> configs;
     if (configsList.empty()) {
-        for (const SweepConfig& c : sweepConfigs)
+        for (const DesignPoint& c : designPoints)
             configs.push_back(&c);
     } else {
-        for (const std::string& tok : splitList(configsList)) {
-            const SweepConfig* c = findConfig(tok);
-            if (!c)
-                fatal("unknown config '%s' (lazy-wb|eager-wb|"
-                      "eager-undolog|lazy-wb-flatten)",
-                      tok.c_str());
-            configs.push_back(c);
-        }
+        for (const std::string& tok : splitList(configsList))
+            configs.push_back(&parseChoice(tok, "--configs", designPoints));
     }
 
     defaultLogContext().quiet = quiet;
@@ -237,11 +145,11 @@ main(int argc, char** argv)
     // Grid cells in config-major order; job index == cell index.
     struct Cell
     {
-        const SweepConfig* cfg;
+        const DesignPoint* cfg;
         int cpus;
     };
     std::vector<Cell> grid;
-    for (const SweepConfig* c : configs)
+    for (const DesignPoint* c : configs)
         for (int n : cpuCounts)
             grid.push_back(Cell{c, n});
 
@@ -269,18 +177,11 @@ main(int argc, char** argv)
         grid.size(), opt,
         [&](std::size_t i) {
             const Cell& cell = grid[i];
-            HtmConfig htm;
-            htm.version = cell.cfg->version;
-            htm.conflict = cell.cfg->conflict;
-            htm.nesting = cell.cfg->nesting;
-            htm.rsetCap = rsetCap;
-            htm.wsetCap = wsetCap;
-            htm.capacityMode = capMode;
             auto kernel = makeNamedKernel(kernelName, kp);
             CellResult res;
             StatsRegistry stats;
             const auto t0 = std::chrono::steady_clock::now();
-            res.r = runKernel(*kernel, htm, cell.cpus,
+            res.r = runKernel(*kernel, cell.cfg->apply(base), cell.cpus,
                               64ull * 1024 * 1024, &stats);
             res.wallUs = static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(
@@ -342,10 +243,10 @@ main(int argc, char** argv)
     doc << "  \"campaign\": {\n";
     doc << "    \"jobs\": " << jobs << ",\n";
     doc << "    \"job_wall_us\": "
-        << distSummary(telemetry.distribution("campaign.job_wall_us"))
+        << distSummaryJson(telemetry.distribution("campaign.job_wall_us"))
         << ",\n";
     doc << "    \"merge_us\": "
-        << distSummary(telemetry.distribution("campaign.merge_us"))
+        << distSummaryJson(telemetry.distribution("campaign.merge_us"))
         << "\n";
     doc << "  },\n";
     doc << "  \"all_verified\": " << (allVerified ? "true" : "false")
@@ -355,10 +256,7 @@ main(int argc, char** argv)
     if (jsonStatsFile.empty()) {
         std::cout << doc.str();
     } else {
-        std::ofstream os(jsonStatsFile);
-        if (!os)
-            fatal("cannot open stats file '%s'", jsonStatsFile.c_str());
-        os << doc.str();
+        openOutput(jsonStatsFile, "stats") << doc.str();
         std::fprintf(stderr, "wrote %s (%zu cells)\n",
                      jsonStatsFile.c_str(), grid.size());
     }

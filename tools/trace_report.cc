@@ -46,7 +46,9 @@
 
 namespace {
 
+using tmsim::NextArg;
 using tmsim::parseInt;
+using tmsim::walkArgs;
 
 using u64 = std::uint64_t;
 using i64 = std::int64_t;
@@ -148,32 +150,21 @@ int
 main(int argc, char** argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
+    walkArgs(argc, argv, usage,
+             [&](const std::string& arg, const NextArg& next) {
         if (arg == "--top") {
-            if (i + 1 >= argc) {
-                usage();
-                return 2;
-            }
             // Strict parse: atoi turned "--top abc" into 0 and the
             // report silently rendered empty tables.
-            opt.top = parseInt(argv[++i], "--top", 1, 1'000'000);
+            opt.top = parseInt(next(), "--top", 1, 1'000'000);
         } else if (arg == "--check") {
             opt.check = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage();
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
-            usage();
-            return 2;
-        } else if (opt.file.empty()) {
-            opt.file = arg;
+        } else if (arg.empty() || arg[0] == '-' || !opt.file.empty()) {
+            return false;
         } else {
-            usage();
-            return 2;
+            opt.file = arg;
         }
-    }
+        return true;
+    });
     if (opt.file.empty()) {
         usage();
         return 2;
