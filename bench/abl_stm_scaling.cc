@@ -5,7 +5,10 @@
  * it drives the src/stm runtime with real host threads and measures
  * wall-clock commit throughput at 1, 2 and 4 threads. Each row runs
  * five times and reports the median run, so one descheduled run
- * cannot swing the scaling ratio.
+ * cannot swing the scaling ratio. Within a kernel the runs go
+ * round-robin over the thread counts (1, 2, 4, 1, 2, 4, ...), so the
+ * runs a ratio compares are made close together and a slow host
+ * period lands on every row alike.
  *
  * Three kernels, chosen so the curve is interpretable on any host,
  * including single-CPU CI boxes (host_cpus is recorded in the JSON):
@@ -23,11 +26,11 @@
  *    retry rate, not the speedup.
  *
  * With --out FILE the curve is written as JSON (curated copy:
- * BENCH_stm_scaling.json in the repo root; tools/bench_trend collects
- * the headline number). The run fails (exit 1) unless the latency
- * kernel reaches --min-speedup (default 2.0) at 4 threads, every run's
- * commit count is exact, and every contended run's final counter
- * equals its total op count (the STM lost no increments).
+ * BENCH_stm_scaling.json in the repo root). The run fails (exit 1)
+ * unless the latency kernel reaches --min-speedup (default 2.0) at 4
+ * threads, every run's commit count is exact, and every contended
+ * run's final counter equals its total op count (the STM lost no
+ * increments).
  */
 
 #include <algorithm>
@@ -49,6 +52,7 @@ using namespace tmsim;
 namespace {
 
 const int threadCounts[] = {1, 2, 4};
+constexpr std::size_t numCounts = std::size(threadCounts);
 
 /** Runs per row; the row reports the median one. */
 constexpr int repetitions = 5;
@@ -216,13 +220,14 @@ main(int argc, char** argv)
     bool ok = true;
     std::string rows;
     for (const KernelInfo& k : kernels) {
-        double base = 0;
-        for (int threads : threadCounts) {
-            const double ops =
-                static_cast<double>(threads) * opsPerThread;
-            RunResult runs[repetitions];
-            for (RunResult& r : runs) {
-                r = k.fn(threads, opsPerThread, thinkUs);
+        RunResult runs[numCounts][repetitions];
+        for (int rep = 0; rep < repetitions; ++rep) {
+            for (std::size_t c = 0; c < numCounts; ++c) {
+                const int threads = threadCounts[c];
+                const double ops =
+                    static_cast<double>(threads) * opsPerThread;
+                const RunResult& r = runs[c][rep] =
+                    k.fn(threads, opsPerThread, thinkUs);
                 // Exactness: every op committed exactly once...
                 if (r.commits != static_cast<std::uint64_t>(ops)) {
                     std::fprintf(stderr,
@@ -247,11 +252,18 @@ main(int argc, char** argv)
                     ok = false;
                 }
             }
-            std::sort(std::begin(runs), std::end(runs),
+        }
+
+        double base = 0;
+        for (std::size_t c = 0; c < numCounts; ++c) {
+            const int threads = threadCounts[c];
+            const double ops =
+                static_cast<double>(threads) * opsPerThread;
+            std::sort(std::begin(runs[c]), std::end(runs[c]),
                       [](const RunResult& a, const RunResult& b) {
                           return a.seconds < b.seconds;
                       });
-            const RunResult& r = runs[repetitions / 2];
+            const RunResult& r = runs[c][repetitions / 2];
             const double rate = ops / r.seconds;
             if (threads == 1)
                 base = rate;

@@ -165,7 +165,11 @@ StmFuzzInterp::run(StatsRegistry* stats_out)
 
     // Global serialization order: writers at their commit timestamp
     // (phase 0) precede the read-only units that observed state at
-    // that timestamp (phase 1); seq breaks the remaining ties.
+    // that timestamp (phase 1). Commit timestamps are unique, so a tie
+    // is between read-only units that observed the same state, and any
+    // order among them is a valid serialization. Each thread's list is
+    // in program order and the sort is stable, so tied units of one
+    // thread stay in program order.
     std::vector<KeyedUnit> all;
     for (auto& pt : keyed) {
         for (auto& ku : pt)
@@ -175,9 +179,7 @@ StmFuzzInterp::run(StatsRegistry* stats_out)
                      [](const KeyedUnit& x, const KeyedUnit& y) {
                          if (x.key.key != y.key.key)
                              return x.key.key < y.key.key;
-                         if (x.key.phase != y.key.phase)
-                             return x.key.phase < y.key.phase;
-                         return x.key.seq < y.key.seq;
+                         return x.key.phase < y.key.phase;
                      });
     ObservedRun rec;
     rec.units.reserve(all.size());

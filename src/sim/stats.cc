@@ -209,6 +209,21 @@ class NamedTable
         return e;
     }
 
+    /** findOrAdd, but entry @p i is tried first, so merging a table
+     *  that registered the same names in the same order never probes
+     *  the index. */
+    Entry&
+    findOrAddAt(std::uint32_t i, std::uint64_t h, std::string_view name,
+                Arena& arena)
+    {
+        if (i < count) {
+            Entry& e = at(i);
+            if (e.hash == h && arena.text(e.name) == name)
+                return e;
+        }
+        return findOrAdd(h, name, arena);
+    }
+
   private:
     static constexpr int firstChunkBits = 5;
     static constexpr std::uint64_t firstChunk = 1u << firstChunkBits;
@@ -504,23 +519,24 @@ StatsRegistry::mergeFrom(const StatsRegistry& other)
     Tables& into = edit();
     for (std::uint32_t i = 0; i < from.counters.size(); ++i) {
         const auto& e = from.counters.at(i);
-        into.counters.findOrAdd(e.hash, from.text(e.name), into.arena)
+        into.counters.findOrAddAt(i, e.hash, from.text(e.name), into.arena)
             .stat += e.stat.value();
     }
     for (std::uint32_t i = 0; i < from.dists.size(); ++i) {
         const auto& e = from.dists.at(i);
-        into.dists.findOrAdd(e.hash, from.text(e.name), into.arena)
+        into.dists.findOrAddAt(i, e.hash, from.text(e.name), into.arena)
             .stat.mergeFrom(e.stat);
     }
     for (std::uint32_t i = 0; i < from.formulas.size(); ++i) {
         const auto& e = from.formulas.at(i);
-        const std::string_view name = from.text(e.name);
-        if (into.formulas.find(e.hash, name, into.arena))
-            continue;
-        into.formulas.findOrAdd(e.hash, name, into.arena).stat =
-            Formula{into.arena.store(from.text(e.stat.numerator)),
-                    into.arena.store(from.text(e.stat.denominator)),
-                    e.stat.kind};
+        const std::uint32_t had = into.formulas.size();
+        auto& f = into.formulas.findOrAddAt(i, e.hash, from.text(e.name),
+                                            into.arena);
+        if (into.formulas.size() == had)
+            continue; // registered already: the first definition stays
+        f.stat = Formula{into.arena.store(from.text(e.stat.numerator)),
+                         into.arena.store(from.text(e.stat.denominator)),
+                         e.stat.kind};
     }
 }
 

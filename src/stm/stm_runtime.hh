@@ -2,9 +2,11 @@
  * @file
  * StmRuntime: the process-wide shared state of the native STM backend
  * — the word-addressable transactional heap, the orec table, the
- * global version clock, the serialization-sequence counter, and the
- * per-thread stats that merge into a StatsRegistry after the threads
- * join. Host threads act on it through StmThread (stm_thread.hh).
+ * global version clock, and the per-thread stats that merge into a
+ * StatsRegistry after the threads join. Host threads act on it
+ * through StmThread (stm_thread.hh). The clock is the only word every
+ * committing writer updates; a unit's serialization key comes from it
+ * and the orecs alone (StmCommitInfo).
  */
 
 #ifndef TMSIM_STM_STM_RUNTIME_HH
@@ -71,14 +73,6 @@ class StmRuntime
     OrecTable& orecs() { return orecTable; }
     GlobalClock& clock() { return versionClock; }
 
-    /** Tie-break sequence for serialization units that share a clock
-     *  key (read-only commits, naked loads). */
-    std::uint64_t
-    nextSeq()
-    {
-        return seqCounter.fetch_add(1, std::memory_order_relaxed);
-    }
-
     /** Arm the watchdog: operations that cannot make progress by the
      *  deadline throw StmHangError. Call before spawning threads. */
     void armWatchdog();
@@ -100,7 +94,6 @@ class StmRuntime
     std::vector<std::atomic<Word>> memWords;
     OrecTable orecTable;
     GlobalClock versionClock;
-    std::atomic<std::uint64_t> seqCounter{0};
     Addr brk = 0;
     std::chrono::steady_clock::time_point dl;
     std::vector<StmThreadStats> threadStats;

@@ -35,14 +35,17 @@ StmThread::spinOrHang(int& tries, const char* where)
 void
 StmThread::beginLevel(bool open)
 {
-    Level lv;
+    if (levels.empty())
+        rv = rt.clock().now();
+    Level& lv = levels.emplace_back();
     lv.open = open;
+    lv.readMark = reads.size();
+    lv.writeMark = writes.size();
+    lv.undoMark = imstUndo.size();
+    lv.lockMark = locks.size();
     lv.chSave = ch.size();
     lv.vhSave = vh.size();
     lv.ahSave = ah.size();
-    if (levels.empty())
-        rv = rt.clock().now();
-    levels.push_back(std::move(lv));
     ++st.starts;
 }
 
@@ -62,15 +65,12 @@ bool
 StmThread::findStagedWrite(Addr a, Word& out) const
 {
     // Read-your-write across levels (paper txstack): the newest staged
-    // value anywhere in the nest wins, searching innermost level first
-    // and each level's redo log newest-entry-first.
-    for (auto lv = levels.rbegin(); lv != levels.rend(); ++lv) {
-        for (auto w = lv->writeBuf.rbegin(); w != lv->writeBuf.rend();
-             ++w) {
-            if (w->first == a) {
-                out = w->second;
-                return true;
-            }
+    // value anywhere in the nest wins. The redo log holds the levels in
+    // nest order, so newest-entry-first is innermost-level-first.
+    for (auto w = writes.rbegin(); w != writes.rend(); ++w) {
+        if (w->first == a) {
+            out = w->second;
+            return true;
         }
     }
     return false;
@@ -101,18 +101,16 @@ StmThread::consistentRead(Addr a)
 }
 
 bool
-StmThread::readEntryValid(
-    Addr a, std::uint64_t ver,
-    const std::vector<std::pair<std::size_t, std::uint64_t>>* self_locks)
-    const
+StmThread::readEntryValid(Addr a, std::uint64_t ver,
+                          std::span<const LockRecord> self_locks) const
 {
     auto& rtm = const_cast<StmRuntime&>(rt);
     const std::size_t idx = rtm.orecs().indexOf(a);
     const std::uint64_t o =
         rtm.orecs().at(idx).load(std::memory_order_acquire);
     if (orecLocked(o)) {
-        if (self_locks && orecOwner(o) == tidVal) {
-            for (const auto& [li, prev] : *self_locks) {
+        if (orecOwner(o) == tidVal) {
+            for (const auto& [li, prev] : self_locks) {
                 if (li == idx)
                     return prev == ver;
             }
@@ -123,14 +121,14 @@ StmThread::readEntryValid(
 }
 
 bool
-StmThread::validateAllReads(Addr* fail_addr) const
+StmThread::readsValid(std::size_t from,
+                      std::span<const LockRecord> self_locks,
+                      Addr* fail_addr) const
 {
-    for (const Level& lv : levels) {
-        for (const auto& [a, ver] : lv.reads) {
-            if (!readEntryValid(a, ver, nullptr)) {
-                *fail_addr = a;
-                return false;
-            }
+    for (std::size_t i = from; i < reads.size(); ++i) {
+        if (!readEntryValid(reads[i].first, reads[i].second, self_locks)) {
+            *fail_addr = reads[i].first;
+            return false;
         }
     }
     return true;
@@ -144,7 +142,7 @@ StmThread::extendSnapshot()
     // snapshot may advance to it.
     const std::uint64_t newRv = rt.clock().now();
     Addr fail = 0;
-    if (validateAllReads(&fail)) {
+    if (readsValid(0, {}, &fail)) {
         rv = newRv;
         ++st.snapshotExtensions;
         return true;
@@ -164,14 +162,14 @@ StmThread::txLoad(Addr a)
     for (;;) {
         const auto [v, ver] = consistentRead(a);
         if (ver <= rv) {
-            levels.back().reads.emplace_back(a, ver);
+            reads.emplace_back(a, ver);
             return v;
         }
         // The word was committed after our snapshot: try to extend.
         if (!extendSnapshot()) {
             // Software chose to resume past the violation: it takes
             // responsibility for the stale snapshot (xvret semantics).
-            levels.back().reads.emplace_back(a, ver);
+            reads.emplace_back(a, ver);
             return v;
         }
     }
@@ -182,19 +180,24 @@ StmThread::txStore(Addr a, Word v)
 {
     if (levels.empty())
         fatal("stm: txStore outside a transaction");
-    levels.back().writeBuf.emplace_back(a, v);
+    writes.emplace_back(a, v);
 }
 
 int
 StmThread::violationTargetFor(Addr a) const
 {
-    for (std::size_t i = 0; i < levels.size(); ++i) {
-        for (const auto& [ra, ver] : levels[i].reads) {
-            if (ra == a)
-                return static_cast<int>(i) + 1;
-        }
-    }
-    return depth();
+    // The first read of @p a in nest order belongs to the shallowest
+    // level that read it: the deepest level whose mark lies at or
+    // before it.
+    const auto r = std::find_if(reads.begin(), reads.end(),
+                                [a](const auto& e) { return e.first == a; });
+    if (r == reads.end())
+        return depth();
+    const std::size_t i = static_cast<std::size_t>(r - reads.begin());
+    std::size_t level = levels.size();
+    while (level > 1 && levels[level - 1].readMark > i)
+        --level;
+    return static_cast<int>(level);
 }
 
 void
@@ -216,36 +219,29 @@ StmThread::deliverViolation(Addr vaddr, int target)
 }
 
 void
-StmThread::releaseLocks(Level& lv)
+StmThread::releaseLocks(std::size_t mark)
 {
-    // Restore the pre-lock versions (the commit did not happen).
-    for (auto it = lv.locks.rbegin(); it != lv.locks.rend(); ++it)
-        rt.orecs().at(it->first).store(it->second,
-                                       std::memory_order_release);
-    lv.locks.clear();
+    for (std::size_t i = locks.size(); i > mark; --i)
+        rt.orecs().at(locks[i - 1].first).store(locks[i - 1].second,
+                                                std::memory_order_release);
+    locks.resize(mark);
 }
 
 void
 StmThread::rollbackTo(int target)
 {
-    const Level& tf = levels[static_cast<std::size_t>(target) - 1];
-    const std::size_t chS = tf.chSave;
-    const std::size_t vhS = tf.vhSave;
-    const std::size_t ahS = tf.ahSave;
-    for (std::size_t li = levels.size();
-         li >= static_cast<std::size_t>(target); --li) {
-        Level& lv = levels[li - 1];
-        releaseLocks(lv); // defensive: an interrupted phase-1
-        // Undo in-place immediate stores, FILO.
-        for (auto it = lv.imstUndo.rbegin(); it != lv.imstUndo.rend();
-             ++it) {
-            rt.write(it->first, it->second);
-        }
-    }
+    const Level tf = levels[static_cast<std::size_t>(target) - 1];
+    releaseLocks(tf.lockMark); // defensive: an interrupted phase-1
+    // Undo in-place immediate stores, FILO.
+    for (std::size_t i = imstUndo.size(); i > tf.undoMark; --i)
+        rt.write(imstUndo[i - 1].first, imstUndo[i - 1].second);
+    imstUndo.resize(tf.undoMark);
+    reads.resize(tf.readMark);
+    writes.resize(tf.writeMark);
     levels.resize(static_cast<std::size_t>(target) - 1);
-    ch.resize(chS);
-    vh.resize(vhS);
-    ah.resize(ahS);
+    ch.resize(tf.chSave);
+    vh.resize(tf.vhSave);
+    ah.resize(tf.ahSave);
 }
 
 void
@@ -278,18 +274,18 @@ StmThread::xvalidate()
     if (!outermost && !lv.open)
         return; // closed-nested commit validates nothing
 
-    // Unique orecs of the committing write set, in sorted order so
-    // concurrent committers cannot deadlock.
-    std::vector<std::size_t> idxs;
-    idxs.reserve(lv.writeBuf.size());
-    for (const auto& [a, v] : lv.writeBuf)
-        idxs.push_back(rt.orecs().indexOf(a));
-    std::sort(idxs.begin(), idxs.end());
-    idxs.erase(std::unique(idxs.begin(), idxs.end()), idxs.end());
-
     for (;;) {
+        // Unique orecs of the committing write set, in sorted order so
+        // concurrent committers cannot deadlock.
+        lockOrder.clear();
+        for (std::size_t i = lv.writeMark; i < writes.size(); ++i)
+            lockOrder.push_back(rt.orecs().indexOf(writes[i].first));
+        std::sort(lockOrder.begin(), lockOrder.end());
+        lockOrder.erase(std::unique(lockOrder.begin(), lockOrder.end()),
+                        lockOrder.end());
+
         bool lockedAll = true;
-        for (const std::size_t idx : idxs) {
+        for (const std::size_t idx : lockOrder) {
             auto& o = rt.orecs().at(idx);
             int tries = 0;
             bool gotIt = false;
@@ -301,7 +297,7 @@ StmThread::xvalidate()
                             cur, orecLockedBy(tidVal),
                             std::memory_order_acq_rel,
                             std::memory_order_acquire)) {
-                        lv.locks.emplace_back(idx, cur);
+                        locks.emplace_back(idx, cur);
                         gotIt = true;
                         break;
                     }
@@ -320,8 +316,10 @@ StmThread::xvalidate()
         if (!lockedAll) {
             // Conflict during phase 1: give the locks back and deliver
             // a violation against this nest.
-            releaseLocks(lv);
-            Addr fail = lv.writeBuf.empty() ? 0 : lv.writeBuf[0].first;
+            releaseLocks(lv.lockMark);
+            const Addr fail =
+                writes.size() > lv.writeMark ? writes[lv.writeMark].first
+                                             : 0;
             deliverViolation(fail, violationTargetFor(fail));
             checkDeadline("commit lock retry");
             continue; // handler chose Continue: start phase 1 over
@@ -330,32 +328,19 @@ StmThread::xvalidate()
         // Commit timestamp AFTER locking (load-bearing: a writer with
         // wv <= a reader's rv must have locked before that rv was
         // sampled — see GlobalClock).
-        lv.wv = idxs.empty() ? 0 : rt.clock().advance();
+        lv.wv = lockOrder.empty() ? 0 : rt.clock().advance();
 
         // Validate the read set: the whole nest for an outermost
-        // commit (children merged upward), only this level for an
-        // open-nested early commit. Read-only commits skip this —
-        // every read was already proven current at the snapshot rv,
-        // which is exactly where the commit serializes. wv == rv + 1
-        // proves no concurrent commit intervened since the snapshot.
+        // commit (its mark is 0), only this level for an open-nested
+        // early commit. Read-only commits skip this — every read was
+        // already proven current at the snapshot rv, which is exactly
+        // where the commit serializes. wv == rv + 1 proves no
+        // concurrent commit intervened since the snapshot.
         Addr fail = 0;
-        bool ok = true;
-        if (!idxs.empty() && lv.wv != rv + 1) {
-            const std::size_t from =
-                outermost ? 0 : levels.size() - 1;
-            for (std::size_t li = from; ok && li < levels.size();
-                 ++li) {
-                for (const auto& [a, ver] : levels[li].reads) {
-                    if (!readEntryValid(a, ver, &lv.locks)) {
-                        fail = a;
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if (!ok) {
-            releaseLocks(lv);
+        if (!lockOrder.empty() && lv.wv != rv + 1 &&
+            !readsValid(lv.readMark,
+                        std::span(locks).subspan(lv.lockMark), &fail)) {
+            releaseLocks(lv.lockMark);
             deliverViolation(fail, violationTargetFor(fail));
             checkDeadline("commit validation retry");
             continue; // handler chose Continue
@@ -370,59 +355,48 @@ StmThread::xcommit()
 {
     if (levels.empty())
         fatal("stm: xcommit outside a transaction");
-    {
-        Level& lv = levels.back();
-        const bool outermost = depth() == 1;
-        if (!outermost && !lv.open) {
-            // Closed-nested commit: merge the child's read/write sets
-            // (and immediate-store undo) into the parent; handlers stay
-            // registered (they now belong to the parent's attempt).
-            Level child = std::move(lv);
-            levels.pop_back();
-            Level& parent = levels.back();
-            parent.reads.insert(parent.reads.end(),
-                                child.reads.begin(), child.reads.end());
-            parent.writeBuf.insert(parent.writeBuf.end(),
-                                   child.writeBuf.begin(),
-                                   child.writeBuf.end());
-            parent.imstUndo.insert(parent.imstUndo.end(),
-                                   child.imstUndo.begin(),
-                                   child.imstUndo.end());
-            return;
-        }
-        if (!lv.validated)
-            xvalidate(); // raw-ISA callers: commit implies validation
+    if (depth() > 1 && !levels.back().open) {
+        // Closed-nested commit: popping the child's marks hands its
+        // reads, writes and imst undo, which follow the parent's in
+        // every log, to the parent; handlers stay registered (they now
+        // belong to the parent's attempt).
+        levels.pop_back();
+        return;
     }
+    if (!levels.back().validated)
+        xvalidate(); // raw-ISA callers: commit implies validation
 
-    Level& lv = levels.back();
+    const Level lv = levels.back();
     const bool outermost = depth() == 1;
 
     // Phase 2: publish the redo log in program order, then release
     // the orecs at the commit timestamp.
-    for (const auto& [a, v] : lv.writeBuf)
-        rt.cell(a).store(v, std::memory_order_release);
-    for (const auto& [idx, prev] : lv.locks)
-        rt.orecs().at(idx).store(lv.wv, std::memory_order_release);
+    for (std::size_t i = lv.writeMark; i < writes.size(); ++i)
+        rt.cell(writes[i].first).store(writes[i].second,
+                                       std::memory_order_release);
+    for (std::size_t i = lv.lockMark; i < locks.size(); ++i)
+        rt.orecs().at(locks[i].first).store(lv.wv,
+                                            std::memory_order_release);
 
-    const bool readOnly = lv.writeBuf.empty();
-    lastCommitInfo = readOnly
-                         ? StmCommitInfo{rv, 1, rt.nextSeq()}
-                         : StmCommitInfo{lv.wv, 0, rt.nextSeq()};
+    const std::size_t nwrites = writes.size() - lv.writeMark;
+    const bool readOnly = nwrites == 0;
+    lastCommitInfo = readOnly ? StmCommitInfo{rv, 1}
+                              : StmCommitInfo{lv.wv, 0};
 
     ++st.commits;
     if (readOnly)
         ++st.roCommits;
     if (!outermost)
         ++st.openCommits;
-    std::size_t nreads = 0;
-    const std::size_t from = outermost ? 0 : levels.size() - 1;
-    for (std::size_t li = from; li < levels.size(); ++li)
-        nreads += levels[li].reads.size();
-    st.readSetSize.sample(nreads);
-    st.writeSetSize.sample(lv.writeBuf.size());
+    st.readSetSize.sample(reads.size() - lv.readMark);
+    st.writeSetSize.sample(nwrites);
 
-    // The committed level's handlers are consumed: truncate all three
-    // stacks to the marks taken at its xbegin.
+    // The committed level's entries and handlers are consumed:
+    // truncate every log and all three stacks to its marks.
+    reads.resize(lv.readMark);
+    writes.resize(lv.writeMark);
+    imstUndo.resize(lv.undoMark);
+    locks.resize(lv.lockMark);
     ch.resize(lv.chSave);
     vh.resize(lv.vhSave);
     ah.resize(lv.ahSave);
@@ -437,7 +411,7 @@ StmThread::commitSequence()
     Level& lv = levels.back();
     const bool outermost = depth() == 1;
     if (!outermost && !lv.open) {
-        xcommit(); // closed-nested merge; xvalidate is a no-op
+        xcommit(); // pops the child's marks; nothing to validate
         return;
     }
     xvalidate(); // may throw StmRollback via a violation
@@ -559,8 +533,7 @@ StmThread::imst(Addr a, Word v)
     if (!levels.empty()) {
         // Undo kept: a rollback of the registering level restores the
         // pre-store value (mirrors the simulator's undo records).
-        levels.back().imstUndo.emplace_back(
-            a, c.load(std::memory_order_acquire));
+        imstUndo.emplace_back(a, c.load(std::memory_order_acquire));
     }
     c.store(v, std::memory_order_release);
 }
@@ -575,12 +548,19 @@ void
 StmThread::release(Addr a)
 {
     ++st.releases;
-    for (Level& lv : levels) {
-        lv.reads.erase(
-            std::remove_if(lv.reads.begin(), lv.reads.end(),
-                           [a](const auto& e) { return e.first == a; }),
-            lv.reads.end());
+    // Compact the read log in place; each level's mark moves down by
+    // the entries dropped before it.
+    std::size_t kept = 0;
+    std::size_t next = 0; // first level whose mark is not yet moved
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+        for (; next < levels.size() && levels[next].readMark == i; ++next)
+            levels[next].readMark = kept;
+        if (reads[i].first != a)
+            reads[kept++] = reads[i];
     }
+    for (; next < levels.size(); ++next)
+        levels[next].readMark = kept;
+    reads.resize(kept);
 }
 
 std::pair<Word, StmCommitInfo>
@@ -588,7 +568,7 @@ StmThread::nakedLoad(Addr a)
 {
     const auto [v, ver] = consistentRead(a);
     ++st.nakedLoads;
-    return {v, StmCommitInfo{ver, 1, rt.nextSeq()}};
+    return {v, StmCommitInfo{ver, 1}};
 }
 
 StmCommitInfo
@@ -610,7 +590,7 @@ StmThread::nakedStore(Addr a, Word v)
     rt.cell(a).store(v, std::memory_order_release);
     o.store(wv, std::memory_order_release);
     ++st.nakedStores;
-    return StmCommitInfo{wv, 0, rt.nextSeq()};
+    return StmCommitInfo{wv, 0};
 }
 
 } // namespace tmsim

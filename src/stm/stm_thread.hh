@@ -13,6 +13,14 @@
  * enclosing level (read-your-write across levels); only the outermost
  * level — or an open-nested level, which commits early — performs the
  * full two-phase commit against memory.
+ *
+ * Storage: one flat read, write, undo and lock log per thread holds
+ * every live level's entries in nest order, and a level is only its
+ * marks into those logs. A closed-nested commit pops the child's marks
+ * (its entries become the parent's where they lie); an open or
+ * outermost commit publishes from its marks and truncates back to
+ * them. The logs keep their capacity, so once warm a committing
+ * transaction allocates nothing.
  */
 
 #ifndef TMSIM_STM_STM_THREAD_HH
@@ -20,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,15 +97,18 @@ struct StmTxOutcome
 /**
  * Serialization key of a memory-committing unit, for harnesses that
  * reconstruct a global serial order (check/stm_interp). Units sort by
- * (key, phase, seq): writers carry (commit timestamp, phase 0) and
+ * (key, phase): writers carry (commit timestamp, phase 0) and
  * read-only units (snapshot timestamp, phase 1), so a writer at
- * timestamp t precedes the readers that observed state t.
+ * timestamp t precedes the readers that observed state t. Commit
+ * timestamps are unique, so two units tie only if both are read-only
+ * and observed the same state t; any order among them is a valid
+ * serialization, and the harness keeps one thread's tied units in
+ * program order.
  */
 struct StmCommitInfo
 {
     std::uint64_t key = 0;
     int phase = 0;
-    std::uint64_t seq = 0;
 };
 
 using StmTxBody = std::function<void(StmThread&)>;
@@ -175,22 +187,27 @@ class StmThread
         std::vector<Word> args;
     };
 
+    /** (orec index, version before this thread locked it). */
+    using LockRecord = std::pair<std::size_t, std::uint64_t>;
+
+    /** One live nesting level: where its entries start in each
+     *  per-thread log and handler stack. Its entries run from its
+     *  marks to the next level's marks (or the log's end). */
     struct Level
     {
         bool open = false;
-        /** Redo log in program order; later entries win. */
-        std::vector<std::pair<Addr, Word>> writeBuf;
-        /** (address, orec version observed) of every checked read. */
-        std::vector<std::pair<Addr, std::uint64_t>> reads;
-        /** imst undo records (address, pre-store value), FILO. */
-        std::vector<std::pair<Addr, Word>> imstUndo;
-        size_t chSave = 0;
-        size_t vhSave = 0;
-        size_t ahSave = 0;
+        std::size_t readMark = 0;
+        std::size_t writeMark = 0;
+        std::size_t undoMark = 0;
+        /** A commit handler running between this level's two phases
+         *  may commit an open-nested level, so lock records nest too. */
+        std::size_t lockMark = 0;
+        std::size_t chSave = 0;
+        std::size_t vhSave = 0;
+        std::size_t ahSave = 0;
         /** Set by xvalidate for xcommit (phase-2 state). */
         bool validated = false;
         std::uint64_t wv = 0;
-        std::vector<std::pair<std::size_t, std::uint64_t>> locks;
     };
 
     void beginLevel(bool open);
@@ -211,17 +228,17 @@ class StmThread
      *  false only when a handler chose to Continue. */
     bool extendSnapshot();
 
-    /** True if every live level's reads are valid at the current orec
-     *  state; *fail_addr receives the first failing address. */
-    bool validateAllReads(Addr* fail_addr) const;
-
     /** Validate one read entry against the current orec state.
      *  @p self_locks: lock records of an in-progress commit, so a
      *  self-locked orec validates against its pre-lock version. */
-    bool readEntryValid(
-        Addr a, std::uint64_t ver,
-        const std::vector<std::pair<std::size_t, std::uint64_t>>*
-            self_locks) const;
+    bool readEntryValid(Addr a, std::uint64_t ver,
+                        std::span<const LockRecord> self_locks) const;
+
+    /** True if the reads logged from @p from on are valid at the
+     *  current orec state; *fail_addr receives the first failing
+     *  address. */
+    bool readsValid(std::size_t from, std::span<const LockRecord> self_locks,
+                    Addr* fail_addr) const;
 
     /** Shallowest level whose read set contains @p a (1-based); falls
      *  back to the innermost level. */
@@ -232,16 +249,28 @@ class StmThread
     void deliverViolation(Addr vaddr, int target);
 
     /** Discard levels >= target: restore imst undo FILO, truncate the
-     *  handler stacks to the target level's saved marks. */
+     *  logs and handler stacks to the target level's marks. */
     void rollbackTo(int target);
 
-    void releaseLocks(Level& lv);
+    /** Give back the orecs locked from lock record @p mark on, at
+     *  their pre-lock versions (the commit did not happen). */
+    void releaseLocks(std::size_t mark);
     void spinOrHang(int& tries, const char* where);
     void checkDeadline(const char* where) const;
 
     StmRuntime& rt;
     int tidVal;
     std::vector<Level> levels;
+    /** (address, orec version observed) of every checked read. */
+    std::vector<std::pair<Addr, std::uint64_t>> reads;
+    /** Redo log in program order; later entries win. */
+    std::vector<std::pair<Addr, Word>> writes;
+    /** imst undo records (address, pre-store value), FILO. */
+    std::vector<std::pair<Addr, Word>> imstUndo;
+    /** Orecs held by in-progress commits, in acquisition order. */
+    std::vector<LockRecord> locks;
+    /** xvalidate's scratch: the committing level's sorted orecs. */
+    std::vector<std::size_t> lockOrder;
     /** Snapshot timestamp of the current nest (TL2 rv), shared by all
      *  levels and advanced by successful snapshot extensions. */
     std::uint64_t rv = 0;

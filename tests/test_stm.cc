@@ -4,15 +4,19 @@
  * (two-phase commit, closed-nested merge, open-nested early commit,
  * imld/imst/imstid, release), handler stacks, conflict detection and
  * snapshot extension via hand-scheduled cross-thread interleavings,
- * naked-access serialization keys, and the hang watchdog. Everything
- * here runs single-host-threaded with explicit interleavings, so the
- * outcomes are deterministic (the genuinely concurrent coverage lives
- * in tools/tmsim_diff).
+ * naked-access serialization keys, the level marks over the per-thread
+ * logs, the allocation-free commit path, and the hang watchdog.
+ * Everything but the last test runs single-host-threaded with explicit
+ * interleavings, so the outcomes are deterministic (the genuinely
+ * concurrent coverage lives in tools/tmsim_diff).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -24,9 +28,48 @@
 #include "stm/stm_thread.hh"
 #include "workloads/zipf.hh"
 
+// Every heap allocation in this binary goes through here, so a test
+// can count the allocations a transaction makes. (The deletes stay out
+// of line: inlined next to the library's operator new, GCC would warn
+// that free() does not match it.)
+namespace {
+std::atomic<long> newCalls{0};
+} // namespace
+
+void*
+operator new(std::size_t n)
+{
+    newCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
 using namespace tmsim;
 
 namespace {
+
+/** Heap allocations made while @p fn runs. */
+template <typename Fn>
+long
+allocationsDuring(Fn fn)
+{
+    const long before = newCalls.load();
+    fn();
+    return newCalls.load() - before;
+}
 
 /** Runtime with a heap slice carved out for direct-address tests. */
 struct StmFixture
@@ -327,6 +370,170 @@ TEST(Stm, ReleaseDropsWordFromReadSet)
     EXPECT_EQ(attempts, 1);
     EXPECT_EQ(o.retries, 0);
     EXPECT_EQ(t1.stats().releases, 1u);
+
+    // Released from inside a live open child: an outer level's read.
+    // The child's mark moves down with the log, so each commit counts
+    // exactly its own reads.
+    attempts = 0;
+    const StmTxOutcome nested = t1.atomic([&](StmThread& th) {
+        ++attempts;
+        (void)th.txLoad(f.addr(40));
+        (void)th.txLoad(f.addr(41));
+        const StmTxOutcome inner = th.atomicOpen([&](StmThread& in) {
+            (void)in.txLoad(f.addr(42));
+            (void)in.txLoad(f.addr(43));
+            in.release(f.addr(40));
+            in.txStore(f.addr(44), 1);
+        });
+        EXPECT_TRUE(inner.committed());
+        t2.nakedStore(f.addr(40), 555);
+        th.txStore(f.addr(45), 1);
+    });
+    EXPECT_TRUE(nested.committed());
+    EXPECT_EQ(attempts, 1);
+
+    // One sample per commit: 0 reads above, then 2 for the open child
+    // and 1 for the outer level that kept word 41.
+    StatsRegistry reg;
+    f.rt.mergeStats(reg);
+    const StatsRegistry::Distribution* rs =
+        reg.findDistribution("stm.read_set_size");
+    ASSERT_NE(rs, nullptr);
+    EXPECT_EQ(rs->count(), 3u);
+    EXPECT_EQ(rs->min(), 0u);
+    EXPECT_EQ(rs->max(), 2u);
+    EXPECT_EQ(rs->total(), 3u);
+}
+
+TEST(Stm, ViolationTargetsShallowestLevelThatReadTheWord)
+{
+    StmFixture f;
+    StmThread t1(f.rt, 0);
+    StmThread t2(f.rt, 1);
+
+    // A word only the inner closed level read: extending the snapshot
+    // fails on it, and only the inner atomic() retries.
+    int outerRuns = 0, innerRuns = 0;
+    StmTxOutcome inner;
+    StmTxOutcome o = t1.atomic([&](StmThread& th) {
+        ++outerRuns;
+        (void)th.txLoad(f.addr(30));
+        inner = th.atomic([&](StmThread& in) {
+            ++innerRuns;
+            (void)in.txLoad(f.addr(31));
+            if (innerRuns == 1) {
+                t2.nakedStore(f.addr(31), 7);
+                (void)in.txLoad(f.addr(31)); // too new: extend, fail
+            }
+        });
+    });
+    EXPECT_TRUE(o.committed());
+    EXPECT_EQ(outerRuns, 1);
+    EXPECT_EQ(innerRuns, 2);
+    EXPECT_EQ(inner.retries, 1);
+    EXPECT_EQ(o.retries, 0);
+
+    // A word the outer level read (and the inner too): the failure
+    // targets the outer level, which retries with its child.
+    outerRuns = innerRuns = 0;
+    o = t1.atomic([&](StmThread& th) {
+        ++outerRuns;
+        (void)th.txLoad(f.addr(32));
+        inner = th.atomic([&](StmThread& in) {
+            ++innerRuns;
+            (void)in.txLoad(f.addr(33));
+            (void)in.txLoad(f.addr(32));
+            if (outerRuns == 1) {
+                t2.nakedStore(f.addr(32), 8);
+                (void)in.txLoad(f.addr(32)); // too new: extend, fail
+            }
+        });
+    });
+    EXPECT_TRUE(o.committed());
+    EXPECT_EQ(outerRuns, 2);
+    EXPECT_EQ(innerRuns, 2);
+    EXPECT_EQ(inner.retries, 0);
+    EXPECT_EQ(o.retries, 1);
+    EXPECT_EQ(t1.stats().violations, 2u);
+}
+
+TEST(Stm, OpenNestValidatesOnlyItsOwnReads)
+{
+    StmFixture f;
+    StmThread t1(f.rt, 0);
+    StmThread t2(f.rt, 1);
+
+    int outerRuns = 0;
+    int openCommitted = 0;
+    const StmTxOutcome o = t1.atomic([&](StmThread& th) {
+        ++outerRuns;
+        (void)th.txLoad(f.addr(34));
+        const StmTxOutcome child = th.atomicOpen([&](StmThread& in) {
+            (void)in.txLoad(f.addr(35));
+            // Overwrite the parent's read; the child's own read stays
+            // current, so its commit (a writer, so it validates) holds.
+            if (outerRuns == 1)
+                t2.nakedStore(f.addr(34), 9);
+            in.txStore(f.addr(36), 1);
+        });
+        openCommitted += child.committed() && child.retries == 0;
+        th.txStore(f.addr(37), 1);
+    });
+    EXPECT_TRUE(o.committed());
+    // The outermost commit validated the parent's read and retried.
+    EXPECT_EQ(outerRuns, 2);
+    EXPECT_EQ(o.retries, 1);
+    EXPECT_EQ(openCommitted, 2);
+    EXPECT_EQ(t1.stats().openCommits, 2u);
+    EXPECT_EQ(t1.stats().violations, 1u);
+}
+
+TEST(Stm, CommittedTransactionsAllocateNothing)
+{
+    StmFixture f;
+    StmThread t(f.rt, 0);
+
+    // The bodies are built once, outside the measured loop: a
+    // std::function whose callable does not fit its inline buffer
+    // allocates when it is made, which is the caller's cost, not the
+    // transaction's.
+    const StmTxBody transfer = [&f](StmThread& th) {
+        const Word a = th.txLoad(f.addr(0));
+        const Word b = th.txLoad(f.addr(1));
+        th.txStore(f.addr(0), a - 1);
+        th.txStore(f.addr(1), b + 1);
+    };
+    const StmTxBody audit = [&f](StmThread& th) {
+        Word sum = 0;
+        for (int i = 0; i < 64; ++i)
+            sum += th.txLoad(f.addr(i));
+        (void)sum;
+    };
+    const StmTxBody closedChild = [&f](StmThread& th) {
+        th.txStore(f.addr(3), th.txLoad(f.addr(2)));
+    };
+    const StmTxBody openChild = [&f](StmThread& th) {
+        th.txStore(f.addr(5), th.txLoad(f.addr(5)) + 1);
+    };
+    const StmTxBody nested = [&](StmThread& th) {
+        (void)th.txLoad(f.addr(4));
+        th.imst(f.addr(6), th.imld(f.addr(6)) + 1);
+        (void)th.atomic(closedChild);
+        (void)th.atomicOpen(openChild);
+        th.txStore(f.addr(4), 1);
+    };
+    const StmTxBody* const mix[] = {&transfer, &audit, &nested};
+
+    int committed = 0;
+    const auto run = [&](int calls) {
+        for (int i = 0; i < calls; ++i)
+            committed += t.atomic(*mix[i % 3]).committed();
+    };
+    run(3); // warm-up: the logs and level stack reach their sizes
+    const long allocs = allocationsDuring([&] { run(10'000); });
+    EXPECT_EQ(committed, 3 + 10'000);
+    EXPECT_EQ(allocs, 0);
+    EXPECT_EQ(t.stats().retries, 0u);
 }
 
 TEST(Stm, SnapshotExtendsPastConcurrentCommit)
