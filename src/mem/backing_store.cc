@@ -29,12 +29,25 @@ watchAddrFromEnv(const char* env)
     return static_cast<Addr>(v);
 }
 
+namespace {
+
+/** TMSIM_WATCH_ADDR, parsed once per process: a malformed value warns
+ *  once, not once per Machine. */
+Addr
+envWatchAddr()
+{
+    static const Addr addr = watchAddrFromEnv(getenv("TMSIM_WATCH_ADDR"));
+    return addr;
+}
+
+} // namespace
+
 BackingStore::BackingStore(Addr size_bytes)
     : bytes(size_bytes),
       // Keep address 0 unmapped-ish: start allocations at one line so a
       // zero Addr can serve as a null pointer in workloads.
       brkPtr(64),
-      watchAddrVal(watchAddrFromEnv(getenv("TMSIM_WATCH_ADDR")))
+      watchAddrVal(envWatchAddr())
 {
     if (size_bytes == 0)
         fatal("BackingStore size must be nonzero");

@@ -80,8 +80,9 @@ class BackingStore
     // --- debug watchpoint (TMSIM_WATCH_ADDR) ---
 
     /** The watched address (invalidAddr = disabled). Per instance:
-     *  initialised from the environment at construction, overridable
-     *  so multi-Machine campaign workers and tests stay independent. */
+     *  initialised from the environment, which the first store of the
+     *  process parses, and overridable so multi-Machine campaign
+     *  workers and tests stay independent. */
     Addr watchAddr() const { return watchAddrVal; }
     void setWatchAddr(Addr a) { watchAddrVal = a; }
 

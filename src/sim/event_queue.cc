@@ -13,11 +13,26 @@ EventQueue::schedule(Cycles delay, Callback cb)
 }
 
 void
-EventQueue::pushRing(Tick when, Callback& cb)
+EventQueue::pushRing(Tick when, const Callback& cb)
 {
-    Bucket& b = ring[bucketIndex(when)];
-    b.cbs.push_back(cb);
-    occupied |= std::uint64_t{1} << bucketIndex(when);
+    std::uint32_t i = freeHead;
+    if (i != none) {
+        freeHead = nodes[i].next;
+        nodes[i] = Node{cb, none};
+    } else {
+        if (nodes.size() == none)
+            panic("more than %u events pending in the ring", none - 1);
+        i = static_cast<std::uint32_t>(nodes.size());
+        nodes.push_back(Node{cb, none});
+    }
+    const size_t idx = bucketIndex(when);
+    Bucket& b = ring[idx];
+    if (b.head == none)
+        b.head = i;
+    else
+        nodes[b.tail].next = i;
+    b.tail = i;
+    occupied |= std::uint64_t{1} << idx;
     ++ringCount;
 }
 
@@ -57,21 +72,29 @@ EventQueue::advanceTo(Tick t)
 Tick
 EventQueue::run(Tick maxTick)
 {
+    if (maxTick < _curTick)
+        return _curTick;
     for (;;) {
         const size_t idx = bucketIndex(_curTick);
         const std::uint64_t bit = std::uint64_t{1} << idx;
         if (occupied & bit) {
             Bucket& b = ring[idx];
-            // Index-based loop: a callback may push into this very
-            // bucket (same-tick scheduling), growing the vector.
-            while (b.head < b.cbs.size()) {
-                Callback cb = b.cbs[b.head++];
+            // A callback may schedule into this very tick: that links a
+            // node after the tail, so each link is read after the
+            // callback runs, and the walk reaches the new node in this
+            // pass. The callback is copied out first, because a push
+            // may grow (move) the node array.
+            for (std::uint32_t i = b.head; i != none; i = nodes[i].next) {
+                Callback cb = nodes[i].cb;
                 --ringCount;
                 ++numExecuted;
                 cb();
             }
-            b.cbs.clear();
-            b.head = 0;
+            // The tick's whole list, appended nodes included, becomes
+            // free at once.
+            nodes[b.tail].next = freeHead;
+            freeHead = b.head;
+            b.head = none;
             occupied &= ~bit;
         }
 

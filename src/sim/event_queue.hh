@@ -7,15 +7,17 @@
  * scheduling, which makes every run bit-reproducible for a given seed.
  *
  * Internally the queue is a tick-bucketed calendar: a 64-slot ring of
- * flat FIFO buckets covers the window [curTick, curTick + 64), which
- * absorbs nearly every event the simulator schedules (pipeline delays,
- * bus beats, same-tick wakeups). Events beyond the window land in an
+ * FIFO buckets covers the window [curTick, curTick + 64), which absorbs
+ * nearly every event the simulator schedules (pipeline delays, bus
+ * beats, same-tick wakeups). Events beyond the window land in an
  * overflow min-heap keyed by (tick, sequence) and are drained into the
  * ring — in scheduling order — when the window slides past them, so
  * same-tick FIFO semantics are identical to the former global
- * priority queue. Callbacks are stored in a small-buffer-optimized
- * InlineCallback, so the common schedule path performs no heap
- * allocation at all (buckets reuse their capacity tick after tick).
+ * priority queue. Every ring event lives in one node array shared by
+ * all buckets: a bucket is the head and tail of a linked list through
+ * it, and an executed tick's nodes go back on a free list. Callbacks
+ * are stored inline (InlineCallback), so a queue allocates only when
+ * its node array or overflow heap grows past its peak so far.
  */
 
 #ifndef TMSIM_SIM_EVENT_QUEUE_HH
@@ -95,7 +97,8 @@ class EventQueue
     void scheduleAt(Tick when, Callback cb);
 
     /**
-     * Run events until the queue drains or @p maxTick is reached.
+     * Run events until the queue drains or @p maxTick is reached. A
+     * limit before now runs nothing and leaves now where it is.
      * @return the tick at which the run stopped.
      */
     Tick run(Tick maxTick = ~static_cast<Tick>(0));
@@ -113,12 +116,23 @@ class EventQueue
     /** Ring window width in ticks (and bucket count); power of two. */
     static constexpr Tick ringTicks = 64;
 
-    /** One tick's FIFO of callbacks. head indexes the next callback
-     *  to run; the vector keeps its capacity across ticks. */
+    /** No node: the end of a list. */
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    /** A ring event: its callback and the next node of its bucket (or
+     *  of the free list). */
+    struct Node
+    {
+        Callback cb;
+        std::uint32_t next;
+    };
+
+    /** One tick's FIFO, linked through the node array from head to
+     *  tail; head is none while the bucket is empty. */
     struct Bucket
     {
-        std::vector<Callback> cbs;
-        size_t head = 0;
+        std::uint32_t head = none;
+        std::uint32_t tail = none;
     };
 
     struct FarEvent
@@ -149,8 +163,10 @@ class EventQueue
      *  in (when, seq) order so per-tick FIFO order is preserved. */
     void advanceTo(Tick t);
 
-    void pushRing(Tick when, Callback& cb);
+    void pushRing(Tick when, const Callback& cb);
 
+    std::vector<Node> nodes;    ///< every ring event, linked per bucket
+    std::uint32_t freeHead = none; ///< nodes of executed ticks
     std::array<Bucket, ringTicks> ring;
     std::uint64_t occupied = 0; ///< bit i set <=> ring[i] non-empty
     size_t ringCount = 0;       ///< unexecuted callbacks in the ring

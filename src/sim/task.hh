@@ -15,15 +15,26 @@
  * abandoned body's frames innermost first (Task::abandon), as unwinding
  * would. A try/catch in the body cannot see such a rollback; RAII
  * destructors and OnUnwind guards can.
+ *
+ * Every operation of the simulated ISA and every cache, bus and
+ * runtime step below it is a coroutine call, so frames are made and
+ * freed at the rate of simulated events. A new frame reuses the memory
+ * of a frame of its size class that its host thread freed before
+ * (FramePool), and asks the heap only when there is none.
  */
 
 #ifndef TMSIM_SIM_TASK_HH
 #define TMSIM_SIM_TASK_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
+
+// Its poison macros are no-ops outside AddressSanitizer builds.
+#include <sanitizer/asan_interface.h>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -64,8 +75,92 @@ struct FinalAwaiter
     void await_resume() const noexcept {}
 };
 
+/**
+ * This host thread's free lists of coroutine frames: one LIFO list per
+ * 32-byte size class, up to 1 KiB. A parked block's first word links
+ * it to the next one. Every block is its own ::operator new allocation
+ * of its class's full size, so a frame may be freed on another thread
+ * than the one that made it and parks there. The pool is constant-
+ * initialised and trivially destructible, so a frame allocation reads
+ * it with no TLS guard; the first miss makes a thread-local reaper
+ * that frees every parked block at thread exit, after which frees go
+ * straight to ::operator delete. A parked block stays ASan-poisoned
+ * until it is handed out again.
+ */
+struct FramePool
+{
+    static constexpr std::size_t classBytes = 32;
+    static constexpr std::size_t classes = 32;
+
+    enum class State : unsigned char
+    {
+        /** No reaper yet: frees go to the heap, not to the lists. */
+        Unarmed,
+        /** The reaper exists: frees park. */
+        Armed,
+        /** The reaper ran (thread exit): everything goes to the heap. */
+        Gone,
+    };
+
+    /** The size class of an @p n-byte frame (n > 0). */
+    static constexpr std::size_t
+    classOf(std::size_t n)
+    {
+        return (n - 1) / classBytes;
+    }
+
+    /** The bytes of every block of class @p c. */
+    static constexpr std::size_t
+    blockBytes(std::size_t c)
+    {
+        return (c + 1) * classBytes;
+    }
+
+    /** A fresh block of class @p c, making the reaper first if this
+     *  thread has none yet. */
+    void* miss(std::size_t c);
+
+    void* head[classes];
+    State state;
+};
+
+inline constinit thread_local FramePool framePool{};
+
 struct PromiseBase
 {
+    /** A coroutine frame of @p n bytes, from this thread's free list
+     *  for its size class when that is not empty. */
+    static void*
+    operator new(std::size_t n)
+    {
+        const std::size_t c = FramePool::classOf(n);
+        if (c >= FramePool::classes)
+            return ::operator new(n);
+        FramePool& pool = framePool;
+        void* p = pool.head[c];
+        if (!p)
+            return pool.miss(c);
+        ASAN_UNPOISON_MEMORY_REGION(p, n);
+        pool.head[c] = *static_cast<void**>(p);
+        return p;
+    }
+
+    /** Park an @p n-byte frame on this thread's free list for its
+     *  size class, or free it while the thread has no reaper. */
+    static void
+    operator delete(void* p, std::size_t n) noexcept
+    {
+        const std::size_t c = FramePool::classOf(n);
+        if (c >= FramePool::classes)
+            return ::operator delete(p, n);
+        FramePool& pool = framePool;
+        if (pool.state != FramePool::State::Armed)
+            return ::operator delete(p, FramePool::blockBytes(c));
+        *static_cast<void**>(p) = pool.head[c];
+        pool.head[c] = p;
+        ASAN_POISON_MEMORY_REGION(p, FramePool::blockBytes(c));
+    }
+
     std::coroutine_handle<> continuation = nullptr;
     std::exception_ptr exception = nullptr;
     bool completed = false;

@@ -4,7 +4,8 @@
 # fail and name the flag; the removed --policy must point at
 # --contention, and the removed --store must be refused. The contention
 # and capacity flags of tmsim_run, tmsim_fuzz and tmsim_sweep must also
-# list the accepted values.
+# list the accepted values. A malformed TMSIM_WATCH_ADDR must warn once
+# per process, not once per Machine.
 
 foreach(flag version conflict nesting scheme granularity)
     execute_process(
@@ -90,4 +91,22 @@ execute_process(
     OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "valid enum values rejected (rc=${rc}): ${err}")
+endif()
+
+# Ten seeds build forty Machines; the environment is parsed once.
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env TMSIM_WATCH_ADDR=zz
+            ${TMSIM_FUZZ} --seeds 10 --contention timestamp
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err
+    OUTPUT_QUIET)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "TMSIM_WATCH_ADDR=zz tmsim_fuzz failed (rc=${rc}): ${err}")
+endif()
+string(REGEX MATCHALL "TMSIM_WATCH_ADDR='zz' is not a valid address"
+       warnings "${err}")
+list(LENGTH warnings nwarn)
+if(NOT nwarn EQUAL 1)
+    message(FATAL_ERROR
+            "TMSIM_WATCH_ADDR=zz warned ${nwarn} times, not once: ${err}")
 endif()
