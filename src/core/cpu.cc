@@ -140,19 +140,14 @@ Cpu::rawRollback(int target_level)
     }
     // Retract serialisation slots of validated levels about to unwind
     // (an open-nested child validated, then an ancestor was violated
-    // before the child's xcommit applied anything).
+    // before the child's xcommit applied anything), and unpin them.
     if (target_level >= 1 && target_level <= ctx.depth()) {
         const std::uint32_t doomed =
             ctx.validatedLevels() & ~((1u << (target_level - 1)) - 1);
         for (std::uint32_t m = doomed; m; m &= m - 1)
             memSys.notifySerializeCancelled(cpuId);
-    }
-    for (int lvl = ctx.depth(); lvl >= target_level; --lvl) {
-        auto it = lockedAtLevel.find(lvl);
-        if (it != lockedAtLevel.end()) {
-            det.unlockLines(ctx, it->second);
-            lockedAtLevel.erase(it);
-        }
+        for (int lvl = ctx.depth(); lvl >= target_level; --lvl)
+            unpin(lvl);
     }
     ctx.rollbackTo(target_level);
     // Attribute the restart reason: a rollback consuming a capacity
@@ -191,16 +186,7 @@ Cpu::load(Addr addr)
     retire(1);
     ++statLoads;
     const Addr unit = ctx.trackUnit(addr);
-    {
-        // Inlined timed access: doing the lookup here instead of in a
-        // child coroutine saves a frame allocation per memory access.
-        const Addr lineA = ctx.lineOf(addr);
-        MemSystem::Lookup lk = memSys.lookup(cpuId, lineA);
-        if (lk.latency)
-            co_await Delay{eq, lk.latency};
-        if (lk.needsBus)
-            co_await memSys.busFill(cpuId, lineA);
-    }
+    co_await memSys.access(cpuId, ctx.lineOf(addr));
     // A validated transaction pins its write-set until xcommit; late
     // readers stall rather than observe soon-to-be-replaced data.
     while (det.lockedByOther(ctx, unit))
@@ -212,32 +198,14 @@ Cpu::load(Addr addr)
         // A validated peer that wrote this unit is already serialised
         // before us; wait for its commit instead of returning the
         // value it is about to replace.
-        while (det.lockedByOther(ctx, unit) ||
-               det.validatedPeerBlocks(cpuId, unit, false)) {
-            if (det.lockedByOther(ctx, unit))
-                co_await det.waitUnlocked(ctx, unit);
-            else
-                co_await Delay{eq, 2};
-        }
+        co_await awaitValidatedPeers(unit, false);
         co_return det.resolveNonTxLoad(cpuId, addr,
                                        memSys.memory().read(addr));
     }
 
     if (ctx.config().conflict == ConflictMode::Eager &&
-        (ctx.levelsReading(unit) | ctx.levelsWriting(unit)) == 0) {
-        Cycles pen = det.overflowPenalty();
-        if (pen) {
-            co_await Delay{eq, pen};
-            if (ctx.deliverable())
-                co_await deliverViolations();
-        }
-        CpuId peer = -1;
-        auto verdict = det.eagerCheck(ctx, unit, false, &peer);
-        if (verdict == ConflictDetector::Verdict::SelfViolate) {
-            ctx.raiseViolation(1u << (ctx.depth() - 1), unit, peer);
-            co_await deliverViolations();
-        }
-    }
+        (ctx.levelsReading(unit) | ctx.levelsWriting(unit)) == 0)
+        co_await eagerFirstAccess(unit, false);
     co_return ctx.specRead(addr);
 }
 
@@ -250,16 +218,7 @@ Cpu::store(Addr addr, Word value)
     retire(1);
     ++statStores;
     const Addr unit = ctx.trackUnit(addr);
-    {
-        // Inlined timed access: doing the lookup here instead of in a
-        // child coroutine saves a frame allocation per memory access.
-        const Addr lineA = ctx.lineOf(addr);
-        MemSystem::Lookup lk = memSys.lookup(cpuId, lineA);
-        if (lk.latency)
-            co_await Delay{eq, lk.latency};
-        if (lk.needsBus)
-            co_await memSys.busFill(cpuId, lineA);
-    }
+    co_await memSys.access(cpuId, ctx.lineOf(addr));
     while (det.lockedByOther(ctx, unit))
         co_await det.waitUnlocked(ctx, unit);
     if (ctx.deliverable())
@@ -270,13 +229,7 @@ Cpu::store(Addr addr, Word value)
         // already serialised before us: storing now would clobber a
         // value its commit depends on (or lose ours under its pending
         // write-back). Stall until it commits.
-        while (det.lockedByOther(ctx, unit) ||
-               det.validatedPeerBlocks(cpuId, unit, true)) {
-            if (det.lockedByOther(ctx, unit))
-                co_await det.waitUnlocked(ctx, unit);
-            else
-                co_await Delay{eq, 2};
-        }
+        co_await awaitValidatedPeers(unit, true);
         // Strong atomicity: a non-transactional store violates every
         // transaction speculating on the unit and updates memory now;
         // in-place speculative writers get their undo entries patched
@@ -288,22 +241,62 @@ Cpu::store(Addr addr, Word value)
         co_return;
     }
 
-    if (ctx.config().conflict == ConflictMode::Eager &&
-        ctx.levelsWriting(unit) == 0) {
-        Cycles pen = det.overflowPenalty();
-        if (pen) {
-            co_await Delay{eq, pen};
-            if (ctx.deliverable())
-                co_await deliverViolations();
-        }
-        CpuId peer = -1;
-        auto verdict = det.eagerCheck(ctx, unit, true, &peer);
-        if (verdict == ConflictDetector::Verdict::SelfViolate) {
-            ctx.raiseViolation(1u << (ctx.depth() - 1), unit, peer);
-            co_await deliverViolations();
-        }
+    if (ctx.config().conflict == ConflictMode::Eager) {
+        if (ctx.levelsWriting(unit) == 0)
+            co_await eagerFirstAccess(unit, true);
+    } else {
+        checkPinned(ctx.depth(), addr);
     }
     ctx.specWrite(addr, value);
+}
+
+SimTask
+Cpu::awaitValidatedPeers(Addr unit, bool is_store)
+{
+    while (det.lockedByOther(ctx, unit) ||
+           det.validatedPeerBlocks(cpuId, unit, is_store)) {
+        if (det.lockedByOther(ctx, unit))
+            co_await det.waitUnlocked(ctx, unit);
+        else
+            co_await Delay{eq, 2};
+    }
+}
+
+SimTask
+Cpu::eagerFirstAccess(Addr unit, bool is_write)
+{
+    Cycles pen = det.overflowPenalty();
+    if (pen) {
+        co_await Delay{eq, pen};
+        if (ctx.deliverable())
+            co_await deliverViolations();
+    }
+    CpuId peer = -1;
+    auto verdict = det.eagerCheck(ctx, unit, is_write, &peer);
+    if (verdict == ConflictDetector::Verdict::SelfViolate) {
+        ctx.raiseViolation(1u << (ctx.depth() - 1), unit, peer);
+        co_await deliverViolations();
+    }
+}
+
+void
+Cpu::checkPinned(int lvl, Addr addr) const
+{
+    const TxLevel& t = ctx.level(lvl);
+    if (t.status == TxStatus::Validated &&
+        !t.writeLines.contains(ctx.trackUnit(addr)))
+        fatal("cpu%d: a write to 0x%llx would join level %d's write set "
+              "after its lazy xvalidate broadcast and pinned it",
+              cpuId, static_cast<unsigned long long>(addr), lvl);
+}
+
+void
+Cpu::unpin(int lvl)
+{
+    const TxLevel& t = ctx.level(lvl);
+    if (ctx.config().conflict == ConflictMode::Lazy &&
+        t.status == TxStatus::Validated)
+        det.unlockLines(ctx, {t.writeLines.begin(), t.writeLines.end()});
 }
 
 int
@@ -337,7 +330,7 @@ Cpu::consumeRestart()
 }
 
 SimTask
-Cpu::xbegin()
+Cpu::begin(TxKind kind)
 {
     if (ctx.deliverable())
         co_await deliverViolations();
@@ -345,20 +338,7 @@ Cpu::xbegin()
     consumeRestart();
     if (!ctx.inTx())
         activeOpClass = curOpClass;
-    ctx.begin(TxKind::Closed, eq.curTick());
-    co_await Delay{eq, 1};
-}
-
-SimTask
-Cpu::xbeginOpen()
-{
-    if (ctx.deliverable())
-        co_await deliverViolations();
-    retire(1);
-    consumeRestart();
-    if (!ctx.inTx())
-        activeOpClass = curOpClass;
-    ctx.begin(TxKind::Open, eq.curTick());
+    ctx.begin(kind, eq.curTick());
     co_await Delay{eq, 1};
 }
 
@@ -458,10 +438,10 @@ Cpu::xvalidate()
             }
         }
 
-        // Commit point: violate conflicting readers, pin the write-set.
+        // Commit point: violate conflicting readers, pin the write-set
+        // (it stays frozen until xcommit unpins it; see checkPinned).
         Cycles penalty = det.broadcastWriteSet(ctx, lines);
         det.lockLines(ctx, lines);
-        lockedAtLevel[ctx.depth()].assign(lines.begin(), lines.end());
         ctx.setTopValidated();
         memSys.notifySerialized(cpuId, !outermost);
 
@@ -499,6 +479,9 @@ Cpu::xcommit()
     const bool open = ctx.top().kind == TxKind::Open;
     if (!outermost && !open) {
         // Closed-nested commit: merge into the parent.
+        if (ctx.config().conflict == ConflictMode::Lazy)
+            for (Addr unit : ctx.topWriteLines())
+                checkPinned(ctx.depth() - 1, unit);
         Cycles cost = ctx.commitClosedTop();
         if (cost)
             co_await Delay{eq, cost};
@@ -508,21 +491,12 @@ Cpu::xcommit()
     if (ctx.top().status != TxStatus::Validated)
         fatal("xcommit without a preceding xvalidate");
 
-    const std::span<const Addr> lines = ctx.topWriteLines();
     Cycles cost = ctx.commitTopToMemory();
-    // Under word-granular tracking several units share a line; snoop
-    // each line once, not once per written word.
-    invalidateScratch.clear();
-    for (Addr unit : lines) {
-        const Addr line = ctx.lineOf(unit);
-        if (invalidateScratch.insert(line).second)
-            memSys.commitInvalidate(cpuId, line);
-    }
-    auto it = lockedAtLevel.find(ctx.depth());
-    if (it != lockedAtLevel.end()) {
-        det.unlockLines(ctx, it->second);
-        lockedAtLevel.erase(it);
-    }
+    // Under word-granular tracking several units share a line; a
+    // repeated snoop of a line finds no copy left to invalidate.
+    for (Addr unit : ctx.topWriteLines())
+        memSys.commitInvalidate(cpuId, ctx.lineOf(unit));
+    unpin(ctx.depth());
     if (outermost) {
         ++statOuterCommits;
         const Tick dur = eq.curTick() - ctx.age();
@@ -543,6 +517,7 @@ Cpu::xrwsetclear()
     co_await Delay{eq, 1};
     if (!ctx.inTx())
         fatal("xrwsetclear outside a transaction");
+    unpin(ctx.depth());
     ctx.clearTopSets();
     ctx.clearViolationBits(ctx.depth());
 }
@@ -590,16 +565,7 @@ Cpu::imld(Addr addr)
     if (ctx.deliverable())
         co_await deliverViolations();
     retire(1);
-    {
-        // Inlined timed access: doing the lookup here instead of in a
-        // child coroutine saves a frame allocation per memory access.
-        const Addr lineA = ctx.lineOf(addr);
-        MemSystem::Lookup lk = memSys.lookup(cpuId, lineA);
-        if (lk.latency)
-            co_await Delay{eq, lk.latency};
-        if (lk.needsBus)
-            co_await memSys.busFill(cpuId, lineA);
-    }
+    co_await memSys.access(cpuId, ctx.lineOf(addr));
     co_return ctx.immRead(addr);
 }
 
@@ -610,16 +576,7 @@ Cpu::imst(Addr addr, Word value)
     if (ctx.deliverable())
         co_await deliverViolations();
     retire(1);
-    {
-        // Inlined timed access: doing the lookup here instead of in a
-        // child coroutine saves a frame allocation per memory access.
-        const Addr lineA = ctx.lineOf(addr);
-        MemSystem::Lookup lk = memSys.lookup(cpuId, lineA);
-        if (lk.latency)
-            co_await Delay{eq, lk.latency};
-        if (lk.needsBus)
-            co_await memSys.busFill(cpuId, lineA);
-    }
+    co_await memSys.access(cpuId, ctx.lineOf(addr));
     ctx.immWrite(addr, value);
 }
 
@@ -630,16 +587,7 @@ Cpu::imstid(Addr addr, Word value)
     if (ctx.deliverable())
         co_await deliverViolations();
     retire(1);
-    {
-        // Inlined timed access: doing the lookup here instead of in a
-        // child coroutine saves a frame allocation per memory access.
-        const Addr lineA = ctx.lineOf(addr);
-        MemSystem::Lookup lk = memSys.lookup(cpuId, lineA);
-        if (lk.latency)
-            co_await Delay{eq, lk.latency};
-        if (lk.needsBus)
-            co_await memSys.busFill(cpuId, lineA);
-    }
+    co_await memSys.access(cpuId, ctx.lineOf(addr));
     ctx.immWriteIdempotent(addr, value);
 }
 

@@ -19,7 +19,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/mem_system.hh"
@@ -74,10 +73,10 @@ class Cpu
     // --- transaction definition (table 2) ---
 
     /** Begin a (closed-nested) transaction. */
-    SimTask xbegin();
+    SimTask xbegin() { return begin(TxKind::Closed); }
 
     /** Begin an open-nested transaction. */
-    SimTask xbeginOpen();
+    SimTask xbeginOpen() { return begin(TxKind::Open); }
 
     /**
      * Validate the current transaction's read-set: once this returns,
@@ -85,13 +84,19 @@ class Cpu
      */
     SimTask xvalidate();
 
-    /** Atomically commit the current (validated) transaction. */
+    /**
+     * Atomically commit the current (validated) transaction. Under lazy
+     * detection a validated level's write set stays as xvalidate
+     * broadcast and pinned it: a closed-nested child whose merge would
+     * add a unit to it is refused (fatal), as is such a store.
+     */
     SimTask xcommit();
 
     // --- state & handler management (table 2) ---
 
     /** Discard the top level's read/write-set and clear its pending
-     *  violation bits (used by manual rollback sequences). */
+     *  violation bits (used by manual rollback sequences). A validated
+     *  lazy level's lines come unpinned with its write set. */
     SimTask xrwsetclear();
 
     /** Restore the register checkpoint (cost model only: the actual
@@ -187,6 +192,28 @@ class Cpu
     SimTask deliverViolations();
     SimTask defaultViolationProtocol();
 
+    /** xbegin / xbeginOpen: push a level of @p kind. */
+    SimTask begin(TxKind kind);
+
+    /** A non-transactional access to @p unit waits here while a
+     *  validated peer that would conflict with it (@p is_store: with
+     *  its read set too) is still committing. */
+    SimTask awaitValidatedPeers(Addr unit, bool is_store);
+
+    /** Eager detection's check on a level's first access to @p unit:
+     *  the overflow penalty, then the contention manager's verdict,
+     *  which may violate this transaction. */
+    SimTask eagerFirstAccess(Addr unit, bool is_write);
+
+    /** Fatal if a write to @p addr would add a unit to the write set
+     *  of level @p lvl after a lazy xvalidate broadcast and pinned it:
+     *  the unit would commit without violating its readers. */
+    void checkPinned(int lvl, Addr addr) const;
+
+    /** Release the lines a validated lazy level @p lvl pins: exactly
+     *  its write set (eager validation pins nothing). */
+    void unpin(int lvl);
+
     /** Account a pending rollback-to-restart interval at xbegin. */
     void consumeRestart();
 
@@ -211,13 +238,6 @@ class Cpu
 
     ViolationProtocol violationProtocol;
     AbortProtocol abortProtocol;
-
-    /** Lines locked at xvalidate, per nesting level, until xcommit. */
-    std::unordered_map<int, std::vector<Addr>> lockedAtLevel;
-
-    /** Scratch set reused by xcommit to dedupe per-word track units to
-     *  whole lines before commit-invalidating peers. */
-    std::unordered_set<Addr> invalidateScratch;
 
     std::uint64_t instrRetired = 0;
     std::uint64_t violationsDelivered = 0;

@@ -22,22 +22,32 @@ MemSystem::registerCpu(CpuId cpu, Cache* l1, Cache* l2, HtmContext* ctx)
     det.addContext(ctx);
 }
 
-MemSystem::Lookup
-MemSystem::lookup(CpuId cpu, Addr line_addr)
+MemSystem::Access
+MemSystem::access(CpuId cpu, Addr line_addr)
 {
     CpuPort& port = ports[static_cast<size_t>(cpu)];
     Cycles lat = port.l1->geometry().hitLatency;
     if (port.l1->lookup(line_addr))
-        return Lookup{lat, false};
+        return Access{eq, lat, false, SimTask{}};
 
     lat += port.l2->geometry().hitLatency;
     if (port.l2->lookup(line_addr)) {
         // Fill L1 from L2; an L1 eviction is not an overflow as long as
         // L2 still tracks the line, so only L2 victims count.
         port.l1->fill(line_addr);
-        return Lookup{lat, false};
+        return Access{eq, lat, false, SimTask{}};
     }
-    return Lookup{lat, true};
+    return Access{eq, lat, true, busFill(cpu, line_addr)};
+}
+
+std::coroutine_handle<>
+MemSystem::Access::await_suspend(std::coroutine_handle<> h)
+{
+    const std::coroutine_handle<> next = miss ? fill.await_suspend(h) : h;
+    if (latency == 0)
+        return next;
+    eq.schedule(latency, [next] { next.resume(); });
+    return std::noop_coroutine();
 }
 
 SimTask

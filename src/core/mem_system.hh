@@ -7,6 +7,7 @@
 #ifndef TMSIM_CORE_MEM_SYSTEM_HH
 #define TMSIM_CORE_MEM_SYSTEM_HH
 
+#include <coroutine>
 #include <functional>
 #include <vector>
 
@@ -41,24 +42,37 @@ class MemSystem
     /** Register one CPU's private caches (called by the Machine). */
     void registerCpu(CpuId cpu, Cache* l1, Cache* l2, HtmContext* ctx);
 
-    /** Result of the synchronous part of a cache access. */
-    struct Lookup
+    /**
+     * Awaitable: the timing of one access by a CPU to a line. The
+     * private hierarchy is probed when the access is made (an L2 hit
+     * refills L1 at once); the awaiter resumes after the lookup
+     * latency, or on a miss after that latency plus a bus fill of both
+     * private levels. It adds no coroutine frame of its own: a miss
+     * starts the fill after the latency, and the fill resumes the
+     * accessing coroutine when it completes.
+     */
+    struct Access
     {
-        /** Cycles of latency payable immediately. */
+        EventQueue& eq;
         Cycles latency;
-        /** The access missed in both private levels: fetch via bus. */
-        bool needsBus;
+        /** Missed in both private levels: fetch over the bus. */
+        bool miss;
+        /** The miss's bus fill (busFill), not started yet. */
+        SimTask fill;
+
+        bool await_ready() const noexcept { return latency == 0 && !miss; }
+        std::coroutine_handle<> await_suspend(std::coroutine_handle<> h);
+
+        void
+        await_resume()
+        {
+            if (miss)
+                fill.await_resume();
+        }
     };
 
-    /**
-     * Probe the private hierarchy of @p cpu for @p line_addr, filling
-     * on an L2 hit. Purely synchronous; the caller charges latency and,
-     * if needsBus, awaits busFill().
-     */
-    Lookup lookup(CpuId cpu, Addr line_addr);
-
-    /** Fetch @p line_addr over the bus and fill both private levels. */
-    SimTask busFill(CpuId cpu, Addr line_addr);
+    /** The timed access of @p cpu to @p line_addr (see Access). */
+    Access access(CpuId cpu, Addr line_addr);
 
     /**
      * Invalidate non-speculative copies of @p line_addr in every cache
@@ -106,6 +120,9 @@ class MemSystem
     }
 
   private:
+    /** Fetch @p line_addr over the bus and fill both private levels. */
+    SimTask busFill(CpuId cpu, Addr line_addr);
+
     struct CpuPort
     {
         Cache* l1 = nullptr;

@@ -121,17 +121,7 @@ HtmContext::specRead(Addr addr)
     if (!inTx())
         panic("specRead outside a transaction");
     Word value = readVisible(addr);
-    Addr unit = trackUnit(addr);
-    if (top().readLines.insert(unit)) {
-        noteInsert(unit, false);
-        if (cfg.rsetCap > 0)
-            enforceCapacity(false, unit);
-    }
-    Addr line = lineOf(addr);
-    if (l1)
-        l1->markRead(line, depth());
-    if (l2)
-        l2->markRead(line, depth());
+    track(addr, false);
     return value;
 }
 
@@ -147,17 +137,23 @@ HtmContext::specWrite(Addr addr, Word value)
         mem.write(addr, value);
         top().writtenWords.insert(addr);
     }
-    Addr unit = trackUnit(addr);
-    if (top().writeLines.insert(unit)) {
-        noteInsert(unit, true);
-        if (cfg.wsetCap > 0)
-            enforceCapacity(true, unit);
+    track(addr, true);
+}
+
+void
+HtmContext::track(Addr addr, bool is_write)
+{
+    const Addr unit = trackUnit(addr);
+    if ((is_write ? top().writeLines : top().readLines).insert(unit)) {
+        noteInsert(unit, is_write);
+        if ((is_write ? cfg.wsetCap : cfg.rsetCap) > 0)
+            enforceCapacity(is_write, unit);
     }
-    Addr line = lineOf(addr);
+    const Addr line = lineOf(addr);
     if (l1)
-        l1->markWrite(line, depth());
+        l1->mark(line, depth(), is_write);
     if (l2)
-        l2->markWrite(line, depth());
+        l2->mark(line, depth(), is_write);
 }
 
 Word

@@ -349,6 +349,11 @@ class HtmContext
     void updateSharer(Addr unit, bool is_write, std::uint32_t clear_bits,
                       std::uint32_t set_bits);
 
+    /** specRead/specWrite's tracking of @p addr at the top level: its
+     *  unit joins the read (@p is_write: write) set, and both caches
+     *  annotate its line. */
+    void track(Addr addr, bool is_write);
+
     /** A unit newly entered the top level's read- or write-set. */
     void noteInsert(Addr unit, bool is_write);
 

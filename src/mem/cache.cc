@@ -292,25 +292,25 @@ levelBit(int level)
 } // namespace
 
 void
-Cache::markRead(Addr line_addr, int level)
+Cache::mark(Addr line_addr, int level, bool is_write)
 {
     if (level < 1)
-        panic("markRead at non-transactional level %d", level);
+        panic("mark at non-transactional level %d", level);
     const auto eff =
         static_cast<std::int16_t>(std::min(level, maxLevels));
+    std::uint32_t Line::*mask = is_write ? &Line::writeMask : &Line::readMask;
 
+    Line* line = findLine(line_addr);
     if (scheme == NestScheme::MultiTracking) {
-        Line* line = findLine(line_addr);
         if (!line)
             line = allocate(line_addr, nullptr);
-        line->readMask |= levelBit(eff);
+        line->*mask |= levelBit(eff);
         syncTx(*line);
         touch(*line);
         return;
     }
 
     // Associativity scheme.
-    Line* line = findLine(line_addr);
     if (!line) {
         line = allocate(line_addr, nullptr);
         line->nl = eff;
@@ -323,41 +323,7 @@ Cache::markRead(Addr line_addr, int level)
         line = allocate(line_addr, nullptr);
         line->nl = eff;
     }
-    line->readMask |= 1;
-    syncTx(*line);
-    touch(*line);
-}
-
-void
-Cache::markWrite(Addr line_addr, int level)
-{
-    if (level < 1)
-        panic("markWrite at non-transactional level %d", level);
-    const auto eff =
-        static_cast<std::int16_t>(std::min(level, maxLevels));
-
-    if (scheme == NestScheme::MultiTracking) {
-        Line* line = findLine(line_addr);
-        if (!line)
-            line = allocate(line_addr, nullptr);
-        line->writeMask |= levelBit(eff);
-        syncTx(*line);
-        touch(*line);
-        return;
-    }
-
-    Line* line = findLine(line_addr);
-    if (!line) {
-        line = allocate(line_addr, nullptr);
-        line->nl = eff;
-    } else if (line->nl == 0) {
-        line->nl = eff;
-    } else if (line->nl < eff) {
-        ++statReplications;
-        line = allocate(line_addr, nullptr);
-        line->nl = eff;
-    }
-    line->writeMask |= 1;
+    line->*mask |= 1;
     syncTx(*line);
     touch(*line);
 }
@@ -373,33 +339,17 @@ Cache::hasTxMeta(Addr line_addr) const
 }
 
 bool
-Cache::isRead(Addr line_addr, int level) const
+Cache::marked(Addr line_addr, int level, bool is_write) const
 {
     int eff = std::min(level, maxLevels);
+    std::uint32_t Line::*mask = is_write ? &Line::writeMask : &Line::readMask;
     for (const auto& line : setFor(line_addr)) {
         if (!line.valid || line.lineAddr != line_addr)
             continue;
         if (scheme == NestScheme::MultiTracking) {
-            if (line.readMask & levelBit(eff))
+            if (line.*mask & levelBit(eff))
                 return true;
-        } else if (line.nl == eff && (line.readMask & 1)) {
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-Cache::isWritten(Addr line_addr, int level) const
-{
-    int eff = std::min(level, maxLevels);
-    for (const auto& line : setFor(line_addr)) {
-        if (!line.valid || line.lineAddr != line_addr)
-            continue;
-        if (scheme == NestScheme::MultiTracking) {
-            if (line.writeMask & levelBit(eff))
-                return true;
-        } else if (line.nl == eff && (line.writeMask & 1)) {
+        } else if (line.nl == eff && (line.*mask & 1)) {
             return true;
         }
     }

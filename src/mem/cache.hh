@@ -97,18 +97,16 @@ class Cache
      */
     void invalidateNonSpec(Addr line_addr);
 
-    /** Annotate the line as read at @p level (allocating if absent). */
-    void markRead(Addr line_addr, int level);
-
-    /** Annotate the line as written at @p level (allocating if absent). */
-    void markWrite(Addr line_addr, int level);
+    /** Annotate the line as read (@p is_write: written) at @p level,
+     *  allocating it if absent. */
+    void mark(Addr line_addr, int level, bool is_write);
 
     /** True if any version of the line carries any annotation. */
     bool hasTxMeta(Addr line_addr) const;
 
-    /** True if the line is annotated read (written) at @p level. */
-    bool isRead(Addr line_addr, int level) const;
-    bool isWritten(Addr line_addr, int level) const;
+    /** True if the line is annotated read (@p is_write: written) at
+     *  @p level. */
+    bool marked(Addr line_addr, int level, bool is_write) const;
 
     /** Rollback at @p level: gang-clear that level's annotations. */
     void clearLevel(int level);

@@ -207,11 +207,17 @@ TxThread::commitSequence()
     co_await cpuRef.exec(3); // 7: discard violation/abort handler tops
     co_await cpuRef.xcommit();                   // 8
     co_await cpuRef.exec(2);                     // 10: tcb pop + return
+    unwindTo(f.hwLevel, f);
+}
 
+void
+TxThread::unwindTo(int target, Frame f)
+{
+    while (!frames.empty() && frames.back().hwLevel >= target)
+        frames.pop_back();
     ch.truncate(f.chSave);
     vh.truncate(f.vhSave);
     ah.truncate(f.ahSave);
-    frames.pop_back();
 }
 
 SimTask
@@ -230,12 +236,14 @@ TxThread::backoff(int retries)
     }
 }
 
+template <typename Fn>
 SimTask
-TxThread::onCommit(CommitHandlerFn fn, std::vector<Word> args)
+TxThread::registerHandler(HandlerStack<Fn>& st, Fn fn,
+                          std::vector<Word> args, const char* what)
 {
     if (!cpuRef.htm().inTx())
-        fatal("onCommit outside a transaction");
-    const auto* e = ch.push(std::move(fn), std::move(args));
+        fatal("%s outside a transaction", what);
+    const auto* e = st.push(std::move(fn), std::move(args));
     if (!e) {
         // Registration would overflow the thread's handler stack: a
         // recoverable per-transaction abort (through the normal abort
@@ -246,58 +254,35 @@ TxThread::onCommit(CommitHandlerFn fn, std::vector<Word> args)
         co_return;
     }
     // Registration cost (paper: 9 instructions for no arguments).
-    co_await cpuRef.imld(ch.topFieldAddr());              // 1
+    co_await cpuRef.imld(st.topFieldAddr());              // 1
     co_await cpuRef.exec(2);                              // 3: bounds
-    co_await cpuRef.imst(ch.wordAddr(e->wordOff), 1);     // 4: PC
-    co_await cpuRef.imst(ch.wordAddr(e->wordOff + 1),
+    co_await cpuRef.imst(st.wordAddr(e->wordOff), 1);     // 4: PC
+    co_await cpuRef.imst(st.wordAddr(e->wordOff + 1),
                          e->args.size());                 // 5: argc
     for (size_t i = 0; i < e->args.size(); ++i)
-        co_await cpuRef.imst(ch.wordAddr(e->wordOff + 2 + i), e->args[i]);
+        co_await cpuRef.imst(st.wordAddr(e->wordOff + 2 + i), e->args[i]);
     co_await cpuRef.exec(1);                              // 6: new top
-    co_await cpuRef.imst(ch.topFieldAddr(), ch.topWords()); // 7
+    co_await cpuRef.imst(st.topFieldAddr(), st.topWords()); // 7
     co_await cpuRef.exec(2);                              // 9: call/ret
+}
+
+SimTask
+TxThread::onCommit(CommitHandlerFn fn, std::vector<Word> args)
+{
+    return registerHandler(ch, std::move(fn), std::move(args), "onCommit");
 }
 
 SimTask
 TxThread::onViolation(ViolationHandlerFn fn, std::vector<Word> args)
 {
-    if (!cpuRef.htm().inTx())
-        fatal("onViolation outside a transaction");
-    const auto* e = vh.push(std::move(fn), std::move(args));
-    if (!e) {
-        co_await cpuRef.xabort(handlerOverflowCode);
-        co_return;
-    }
-    co_await cpuRef.imld(vh.topFieldAddr());
-    co_await cpuRef.exec(2);
-    co_await cpuRef.imst(vh.wordAddr(e->wordOff), 1);
-    co_await cpuRef.imst(vh.wordAddr(e->wordOff + 1), e->args.size());
-    for (size_t i = 0; i < e->args.size(); ++i)
-        co_await cpuRef.imst(vh.wordAddr(e->wordOff + 2 + i), e->args[i]);
-    co_await cpuRef.exec(1);
-    co_await cpuRef.imst(vh.topFieldAddr(), vh.topWords());
-    co_await cpuRef.exec(2);
+    return registerHandler(vh, std::move(fn), std::move(args),
+                           "onViolation");
 }
 
 SimTask
 TxThread::onAbort(AbortHandlerFn fn, std::vector<Word> args)
 {
-    if (!cpuRef.htm().inTx())
-        fatal("onAbort outside a transaction");
-    const auto* e = ah.push(std::move(fn), std::move(args));
-    if (!e) {
-        co_await cpuRef.xabort(handlerOverflowCode);
-        co_return;
-    }
-    co_await cpuRef.imld(ah.topFieldAddr());
-    co_await cpuRef.exec(2);
-    co_await cpuRef.imst(ah.wordAddr(e->wordOff), 1);
-    co_await cpuRef.imst(ah.wordAddr(e->wordOff + 1), e->args.size());
-    for (size_t i = 0; i < e->args.size(); ++i)
-        co_await cpuRef.imst(ah.wordAddr(e->wordOff + 2 + i), e->args[i]);
-    co_await cpuRef.exec(1);
-    co_await cpuRef.imst(ah.topFieldAddr(), ah.topWords());
-    co_await cpuRef.exec(2);
+    return registerHandler(ah, std::move(fn), std::move(args), "onAbort");
 }
 
 SimTask
@@ -350,13 +335,7 @@ TxThread::violationProtocolImpl(Cpu& c)
     // window where another CPU's conflict check passes and reads
     // doomed speculative values.
     co_await c.exec(4);
-
-    while (!frames.empty() && frames.back().hwLevel >= target)
-        frames.pop_back();
-    ch.truncate(tf.chSave);
-    vh.truncate(tf.vhSave);
-    ah.truncate(tf.ahSave);
-
+    unwindTo(target, tf);
     c.rawRollback(target); // undo-log walk + xrwsetclear + xregrestore
     // Paper 4.3: rollback jumps to the restart point the TCB records.
     // A frame that is not the level's own (a raw-ISA level between
@@ -389,13 +368,7 @@ TxThread::abortProtocolImpl(Cpu& c, Word code)
 
     co_await c.exec(3); // 5 (6 with the xabort instruction): undo walk
                         // + xrwsetclear + xregrestore slots
-
-    while (!frames.empty() && frames.back().hwLevel >= target)
-        frames.pop_back();
-    ch.truncate(tf.chSave);
-    vh.truncate(tf.vhSave);
-    ah.truncate(tf.ahSave);
-
+    unwindTo(target, tf);
     c.rawRollback(target); // atomic: restore, discard sets, restore regs
     // With a frame per level up to the depth, tf is the level's own.
     co_await jumpToOwner(tf, Signal{true, code});

@@ -204,6 +204,18 @@ class TxThread
         return JumpTo{f.restart};
     }
 
+    /** onCommit/onViolation/onAbort: push @p fn with @p args on
+     *  @p st and charge the registration traffic; @p what names the
+     *  call in the outside-a-transaction fatal. */
+    template <typename Fn>
+    SimTask registerHandler(HandlerStack<Fn>& st, Fn fn,
+                            std::vector<Word> args, const char* what);
+
+    /** Drop the frames of levels @p target and deeper, and every
+     *  handler registered since frame @p f began (a copy, as @p f may
+     *  be among the frames dropped). */
+    void unwindTo(int target, Frame f);
+
     /** Charge the imld/alu traffic of dispatching one handler entry. */
     template <typename Fn>
     SimTask chargeDispatch(const HandlerStack<Fn>& st,

@@ -235,13 +235,20 @@ StmThread::rollbackTo(int target)
     // Undo in-place immediate stores, FILO.
     for (std::size_t i = imstUndo.size(); i > tf.undoMark; --i)
         rt.write(imstUndo[i - 1].first, imstUndo[i - 1].second);
-    imstUndo.resize(tf.undoMark);
-    reads.resize(tf.readMark);
-    writes.resize(tf.writeMark);
+    truncateTo(tf);
     levels.resize(static_cast<std::size_t>(target) - 1);
-    ch.resize(tf.chSave);
-    vh.resize(tf.vhSave);
-    ah.resize(tf.ahSave);
+}
+
+void
+StmThread::truncateTo(const Level& lv)
+{
+    reads.resize(lv.readMark);
+    writes.resize(lv.writeMark);
+    imstUndo.resize(lv.undoMark);
+    locks.resize(lv.lockMark);
+    ch.resize(lv.chSave);
+    vh.resize(lv.vhSave);
+    ah.resize(lv.ahSave);
 }
 
 void
@@ -391,15 +398,8 @@ StmThread::xcommit()
     st.readSetSize.sample(reads.size() - lv.readMark);
     st.writeSetSize.sample(nwrites);
 
-    // The committed level's entries and handlers are consumed:
-    // truncate every log and all three stacks to its marks.
-    reads.resize(lv.readMark);
-    writes.resize(lv.writeMark);
-    imstUndo.resize(lv.undoMark);
-    locks.resize(lv.lockMark);
-    ch.resize(lv.chSave);
-    vh.resize(lv.vhSave);
-    ah.resize(lv.ahSave);
+    // The committed level's entries and handlers are consumed.
+    truncateTo(lv);
     levels.pop_back();
 }
 
@@ -486,36 +486,31 @@ StmThread::atomicOpen(const StmTxBody& body)
 // --- handler registration --------------------------------------------
 
 void
-StmThread::onCommit(StmCommitFn fn, std::vector<Word> args)
+StmThread::pushHandler(std::vector<Handler>& stack, Handler h,
+                       const char* what)
 {
     if (levels.empty())
-        fatal("stm: onCommit outside a transaction");
-    Handler h;
-    h.commitFn = std::move(fn);
-    h.args = std::move(args);
-    ch.push_back(std::move(h));
+        fatal("stm: %s outside a transaction", what);
+    stack.push_back(std::move(h));
+}
+
+void
+StmThread::onCommit(StmCommitFn fn, std::vector<Word> args)
+{
+    pushHandler(ch, Handler{std::move(fn), {}, std::move(args)}, "onCommit");
 }
 
 void
 StmThread::onViolation(StmViolationFn fn, std::vector<Word> args)
 {
-    if (levels.empty())
-        fatal("stm: onViolation outside a transaction");
-    Handler h;
-    h.violationFn = std::move(fn);
-    h.args = std::move(args);
-    vh.push_back(std::move(h));
+    pushHandler(vh, Handler{{}, std::move(fn), std::move(args)},
+                "onViolation");
 }
 
 void
 StmThread::onAbort(StmAbortFn fn, std::vector<Word> args)
 {
-    if (levels.empty())
-        fatal("stm: onAbort outside a transaction");
-    Handler h;
-    h.commitFn = std::move(fn);
-    h.args = std::move(args);
-    ah.push_back(std::move(h));
+    pushHandler(ah, Handler{std::move(fn), {}, std::move(args)}, "onAbort");
 }
 
 // --- immediate and non-transactional operations ----------------------

@@ -252,6 +252,15 @@ class StmThread
      *  logs and handler stacks to the target level's marks. */
     void rollbackTo(int target);
 
+    /** Truncate every log and all three handler stacks to @p lv's
+     *  marks (the level is committed or rolled back). */
+    void truncateTo(const Level& lv);
+
+    /** onCommit/onViolation/onAbort: push @p h on @p stack; @p what
+     *  names the call in the outside-a-transaction fatal. */
+    void pushHandler(std::vector<Handler>& stack, Handler h,
+                     const char* what);
+
     /** Give back the orecs locked from lock record @p mark on, at
      *  their pre-lock versions (the commit did not happen). */
     void releaseLocks(std::size_t mark);

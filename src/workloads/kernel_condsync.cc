@@ -26,8 +26,8 @@ CondSyncKernel::producer(TxThread& t, int worker, Addr slot)
         const Word item = static_cast<Word>(pair) * 10000 +
                           static_cast<Word>(i);
         const std::uint64_t produceWork =
-            static_cast<std::uint64_t>(p.workCycles) *
-            static_cast<std::uint64_t>(p.produceMult);
+            static_cast<std::uint64_t>(workCycles) *
+            static_cast<std::uint64_t>(produceMult);
         if (p.useScheduler) {
             co_await t.atomic([&](TxThread& tx) -> SimTask {
                 co_await sched->loadOrRetry(tx, worker, slot,
@@ -62,7 +62,7 @@ CondSyncKernel::consumer(TxThread& t, int worker, Addr slot, int pair)
                 got = co_await sched->loadOrRetry(
                     tx, worker, slot, [](Word w) { return w != 0; });
                 co_await tx.work(
-                    static_cast<std::uint64_t>(p.workCycles));
+                    static_cast<std::uint64_t>(workCycles));
                 co_await tx.st(slot, 0);
             });
         } else {
@@ -74,7 +74,7 @@ CondSyncKernel::consumer(TxThread& t, int worker, Addr slot, int pair)
                             co_await tx.cpu().xabort(1);
                         got = v;
                         co_await tx.work(
-                            static_cast<std::uint64_t>(p.workCycles));
+                            static_cast<std::uint64_t>(workCycles));
                         co_await tx.st(slot, 0);
                     });
                 if (out.committed())

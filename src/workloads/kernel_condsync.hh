@@ -20,12 +20,6 @@ struct CondSyncParams
 {
     /** Items transferred per producer/consumer pair. */
     int itemsPerPair = 12;
-    /** ALU cycles of work per consumed item. */
-    int workCycles = 150;
-    /** Production is slower than consumption by this factor, so
-     *  consumers genuinely wait (the interesting case for blocking
-     *  vs. polling synchronisation). */
-    int produceMult = 5;
     /** true: figure-3 watch/retry scheduler; false: polling. */
     bool useScheduler = true;
 };
@@ -60,6 +54,13 @@ class CondSyncKernel : public Kernel
     }
 
   private:
+    /** ALU cycles of work per consumed item. */
+    static constexpr int workCycles = 150;
+    /** Production is slower than consumption by this factor, so
+     *  consumers genuinely wait (the interesting case for blocking
+     *  vs. polling synchronisation). */
+    static constexpr int produceMult = 5;
+
     static int pairsFor(int n_threads) { return (n_threads - 1) / 2; }
 
     SimTask producer(TxThread& t, int worker, Addr slot);

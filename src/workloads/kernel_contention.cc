@@ -5,10 +5,9 @@ namespace tmsim {
 void
 ContentionKernel::init(Machine& m, int /* n_threads */)
 {
-    // One line is enough: hotWords is capped at a line's worth of
-    // words so every transaction collides on the same tracking unit
-    // under line granularity (and on the same words under word
-    // granularity when hotWords spans them all).
+    // One line is enough: the hot words share it, so every
+    // transaction collides on the same tracking unit under line
+    // granularity (and on the same words under word granularity).
     hotBase = m.memory().allocate(64, 64);
 }
 
@@ -16,15 +15,14 @@ SimTask
 ContentionKernel::thread(TxThread& t, int tid, int n_threads)
 {
     (void)n_threads;
-    const int words = std::min(p.hotWords, 64 / static_cast<int>(wordBytes));
     const bool isLong = tid < p.longThreads;
-    const int hold = isLong ? p.holdCycles * p.longFactor : p.holdCycles;
+    const int hold = isLong ? holdCycles * longFactor : holdCycles;
     // Long-holding threads and short ones are distinct op classes, so
     // the dump splits tail latency by victim/aggressor role.
     t.setOpClass(t.registerOpClass(isLong ? "long" : "short"));
-    for (int it = 0; it < p.itersPerThread; ++it) {
+    for (int it = 0; it < itersPerThread; ++it) {
         co_await t.atomic([&](TxThread& tx) -> SimTask {
-            for (int w = 0; w < words; ++w) {
+            for (int w = 0; w < hotWords; ++w) {
                 const Addr a =
                     hotBase + static_cast<Addr>(w) * wordBytes;
                 Word v = co_await tx.ld(a);
@@ -32,18 +30,15 @@ ContentionKernel::thread(TxThread& t, int tid, int n_threads)
                 co_await tx.st(a, v + 1);
             }
         });
-        if (p.thinkCycles > 0)
-            co_await t.work(static_cast<std::uint64_t>(p.thinkCycles));
     }
 }
 
 bool
 ContentionKernel::verify(Machine& m, int n_threads)
 {
-    const int words = std::min(p.hotWords, 64 / static_cast<int>(wordBytes));
-    const Word expect = static_cast<Word>(p.itersPerThread) *
+    const Word expect = static_cast<Word>(itersPerThread) *
                         static_cast<Word>(n_threads);
-    for (int w = 0; w < words; ++w) {
+    for (int w = 0; w < hotWords; ++w) {
         if (m.memory().read(hotBase + static_cast<Addr>(w) * wordBytes) !=
             expect) {
             return false;

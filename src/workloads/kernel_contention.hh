@@ -19,17 +19,6 @@ namespace tmsim {
 
 struct ContentionParams
 {
-    /** Outer transactions per thread. */
-    int itersPerThread = 32;
-    /** Hot words per transaction, all on one shared line. */
-    int hotWords = 2;
-    /** ALU cycles between the read and the write of each hot word —
-     *  widens the conflict window so overlap is near-certain. */
-    int holdCycles = 40;
-    /** ALU cycles of private work between transactions. Zero keeps
-     *  every thread hammering the hot line back-to-back (the
-     *  starvation-adversarial setting). */
-    int thinkCycles = 0;
     /** The first longThreads threads run their hold phase longFactor
      *  times longer. A long transaction among short ones is the
      *  classic lazy-commit starvation victim: every short commit
@@ -38,7 +27,6 @@ struct ContentionParams
      *  fairness regression keep threads symmetric (a 6x-long window
      *  outlasts even the guard's commit-yield slot). */
     int longThreads = 0;
-    int longFactor = 6;
 };
 
 class ContentionKernel : public Kernel
@@ -59,6 +47,18 @@ class ContentionKernel : public Kernel
     bool verify(Machine& m, int n_threads) override;
 
   private:
+    /** Outer transactions per thread, back to back: every thread
+     *  hammers the hot line (the starvation-adversarial setting). */
+    static constexpr int itersPerThread = 32;
+    /** Hot words per transaction, all on one shared line. */
+    static constexpr int hotWords = 2;
+    static_assert(hotWords * wordBytes <= 64);
+    /** ALU cycles between the read and the write of each hot word —
+     *  widens the conflict window so overlap is near-certain. */
+    static constexpr int holdCycles = 40;
+    /** How much longer a long thread holds (see longThreads). */
+    static constexpr int longFactor = 6;
+
     ContentionParams p;
     Addr hotBase = 0; ///< the single contended line
 };

@@ -7,7 +7,7 @@ IoBenchKernel::init(Machine& m, int n_threads)
 {
     log = std::make_unique<TxLogDevice>(TxLogDevice::create(
         m.memory(),
-        static_cast<size_t>(n_threads * p.msgsPerThread * p.msgWords) +
+        static_cast<size_t>(n_threads * p.msgsPerThread * msgWords) +
             64));
     io = std::make_unique<TxIo>(*log);
     privBase.clear();
@@ -21,14 +21,14 @@ IoBenchKernel::thread(TxThread& t, int tid, int /* n_threads */)
     const Addr priv = privBase[static_cast<size_t>(tid)];
     for (int i = 0; i < p.msgsPerThread; ++i) {
         std::vector<Word> record;
-        record.reserve(static_cast<size_t>(p.msgWords));
+        record.reserve(static_cast<size_t>(msgWords));
         record.push_back(static_cast<Word>(tid + 1) * 1000000 +
                          static_cast<Word>(i));
-        for (int w = 1; w < p.msgWords; ++w)
+        for (int w = 1; w < msgWords; ++w)
             record.push_back(static_cast<Word>(w));
 
         auto body = [&](TxThread& tx) -> SimTask {
-            co_await tx.work(static_cast<std::uint64_t>(p.computeCycles));
+            co_await tx.work(static_cast<std::uint64_t>(computeCycles));
             Word v = co_await tx.ld(priv);
             co_await tx.st(priv, v + 1);
             if (p.transactional)
@@ -49,7 +49,7 @@ IoBenchKernel::verify(Machine& m, int n_threads)
     auto words = log->contents(m.memory());
     const size_t total = static_cast<size_t>(n_threads) *
                          static_cast<size_t>(p.msgsPerThread) *
-                         static_cast<size_t>(p.msgWords);
+                         static_cast<size_t>(msgWords);
     if (words.size() != total)
         return false;
 
@@ -57,11 +57,11 @@ IoBenchKernel::verify(Machine& m, int n_threads)
     // per-thread messages via the tag word.
     std::vector<int> counts(static_cast<size_t>(n_threads) + 1, 0);
     for (size_t off = 0; off < words.size();
-         off += static_cast<size_t>(p.msgWords)) {
+         off += static_cast<size_t>(msgWords)) {
         Word tag = words[off] / 1000000;
         if (tag < 1 || tag > static_cast<Word>(n_threads))
             return false;
-        for (int w = 1; w < p.msgWords; ++w) {
+        for (int w = 1; w < msgWords; ++w) {
             if (words[off + static_cast<size_t>(w)] !=
                 static_cast<Word>(w)) {
                 return false;

@@ -23,8 +23,6 @@ namespace tmsim {
 struct IoBenchParams
 {
     int msgsPerThread = 16;
-    int computeCycles = 400;
-    int msgWords = 6;
     /** true: commit-handler buffered output; false: serialised. */
     bool transactional = true;
 };
@@ -48,6 +46,11 @@ class IoBenchKernel : public Kernel
     bool verify(Machine& m, int n_threads) override;
 
   private:
+    /** ALU cycles of work per message transaction. */
+    static constexpr int computeCycles = 400;
+    /** Words per log record (a tag word, then 1, 2, ...). */
+    static constexpr int msgWords = 6;
+
     IoBenchParams p;
     std::unique_ptr<TxLogDevice> log;
     std::unique_ptr<TxIo> io;

@@ -13,7 +13,7 @@ Mp3dKernel::init(Machine& m, int /* n_threads */)
 {
     BackingStore& mem = m.memory();
     posBase = mem.allocate(static_cast<Addr>(p.particles) * wordBytes, 64);
-    cellBase = mem.allocate(static_cast<Addr>(p.cells) * 64, 64);
+    cellBase = mem.allocate(static_cast<Addr>(cells) * 64, 64);
     momentumAddr = mem.allocate(64, 64);
     for (int i = 0; i < p.particles; ++i) {
         mem.write(posBase + static_cast<Addr>(i) * wordBytes,
@@ -29,8 +29,8 @@ Mp3dKernel::thread(TxThread& t, int tid, int n_threads)
     const int hi = p.particles * (tid + 1) / n_threads;
 
     for (int step = 0; step < p.steps; ++step) {
-        for (int base = lo; base < hi; base += p.batch) {
-            const int end = std::min(base + p.batch, hi);
+        for (int base = lo; base < hi; base += batch) {
+            const int end = std::min(base + batch, hi);
             co_await t.atomic([&](TxThread& tx) -> SimTask {
                 Word localMomentum = 0;
                 std::vector<Addr> collisions;
@@ -45,7 +45,7 @@ Mp3dKernel::thread(TxThread& t, int tid, int n_threads)
                     Addr pa = posBase + static_cast<Addr>(i) * wordBytes;
                     Word pos = co_await tx.ld(pa);
                     co_await tx.work(
-                        static_cast<std::uint64_t>(p.moveCycles));
+                        static_cast<std::uint64_t>(moveCycles));
                     Word npos = advance(pos);
                     co_await tx.st(pa, npos);
                     localMomentum += momentumOf(npos);
@@ -53,7 +53,7 @@ Mp3dKernel::thread(TxThread& t, int tid, int n_threads)
                         collisions.push_back(
                             cellBase +
                             static_cast<Addr>(
-                                npos % static_cast<Word>(p.cells)) *
+                                npos % static_cast<Word>(cells)) *
                                 64);
                     }
                 }
@@ -107,14 +107,14 @@ Mp3dKernel::thread(TxThread& t, int tid, int n_threads)
                 for (Addr cell : collisions) {
                     co_await reduce(
                         tx, cell, 1,
-                        static_cast<std::uint64_t>(p.collideCycles));
+                        static_cast<std::uint64_t>(collideCycles));
                 }
 
                 // Global momentum reduction at the very end of the
                 // outer transaction: the flattening worst case.
                 co_await reduce(
                     tx, momentumAddr, localMomentum,
-                    static_cast<std::uint64_t>(p.momentumCycles));
+                    static_cast<std::uint64_t>(momentumCycles));
             });
         }
     }
@@ -124,7 +124,7 @@ bool
 Mp3dKernel::verify(Machine& m, int /* n_threads */)
 {
     // Host-side reference: the physics is deterministic per particle.
-    std::vector<Word> cellRef(static_cast<size_t>(p.cells), 0);
+    std::vector<Word> cellRef(static_cast<size_t>(cells), 0);
     Word momentumRef = 0;
     for (int i = 0; i < p.particles; ++i) {
         Word pos = static_cast<Word>(i) * 2654435761ull + 12345;
@@ -133,10 +133,10 @@ Mp3dKernel::verify(Machine& m, int /* n_threads */)
             momentumRef += momentumOf(pos);
             if (collides(pos))
                 ++cellRef[static_cast<size_t>(
-                    pos % static_cast<Word>(p.cells))];
+                    pos % static_cast<Word>(cells))];
         }
     }
-    for (int c = 0; c < p.cells; ++c) {
+    for (int c = 0; c < cells; ++c) {
         if (m.memory().read(cellBase + static_cast<Addr>(c) * 64) !=
             cellRef[static_cast<size_t>(c)]) {
             return false;

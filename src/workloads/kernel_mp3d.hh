@@ -24,19 +24,6 @@ struct Mp3dParams
 {
     int particles = 384;
     int steps = 2;
-    /** Particles per outer transaction. */
-    int batch = 16;
-    /** Shared space cells (one line each). */
-    int cells = 64;
-    /** ALU cycles of physics per particle. */
-    int moveCycles = 60;
-    /** ALU cycles per collision update. */
-    int collideCycles = 15;
-    /** A particle collides when (pos >> 8) %% collideMod == 0. */
-    int collideMod = 8;
-    /** ALU cycles inside the momentum reduction transaction
-     *  (collision-pair momentum exchange). */
-    int momentumCycles = 120;
     /** Run the reduction updates as OPEN-nested transactions with
      *  violation/abort compensation instead of closed-nested ones
      *  (the paper's system-code recipe applied to commutative
@@ -58,11 +45,25 @@ class Mp3dKernel : public Kernel
     static Word advance(Word pos);
     bool collides(Word pos) const
     {
-        return (pos >> 8) % static_cast<Word>(p.collideMod) == 0;
+        return (pos >> 8) % static_cast<Word>(collideMod) == 0;
     }
     static Word momentumOf(Word pos) { return (pos >> 16) & 0xFF; }
 
   private:
+    /** Particles per outer transaction. */
+    static constexpr int batch = 16;
+    /** Shared space cells (one line each). */
+    static constexpr int cells = 64;
+    /** ALU cycles of physics per particle. */
+    static constexpr int moveCycles = 60;
+    /** ALU cycles per collision update. */
+    static constexpr int collideCycles = 15;
+    /** A particle collides when (pos >> 8) % collideMod == 0. */
+    static constexpr int collideMod = 8;
+    /** ALU cycles inside the momentum reduction transaction
+     *  (collision-pair momentum exchange). */
+    static constexpr int momentumCycles = 120;
+
     Mp3dParams p;
     Addr posBase = 0;      // particle positions (one word each)
     Addr cellBase = 0;     // cell occupancy counters (one line each)

@@ -242,7 +242,7 @@ SpecJbbKernel::newOrder(TxThread& t, int g)
         });
 
         // Stock reservations (always against the home warehouse).
-        for (int k = 0; k < p.stockPerOrder; ++k) {
+        for (int k = 0; k < stockPerOrder; ++k) {
             const Word item = itemFor(g, k);
             co_await treeGuard(tx, [&](TxThread& ti) -> SimTask {
                 co_await hs.stockTree.addDelta(
@@ -254,88 +254,67 @@ SpecJbbKernel::newOrder(TxThread& t, int g)
         // into the DESTINATION warehouse's order tree, at the end of
         // the operation.
         //
-        //  - Open variant: the id comes from an open-nested increment
-        //    that commits immediately ("no compensation code is
-        //    needed ... as the order IDs must be unique, but not
+        //  - Open and Hybrid variants: the id comes from an open-nested
+        //    increment that commits immediately ("no compensation code
+        //    is needed ... as the order IDs must be unique, but not
         //    necessarily sequential"). A cross-shard handoff bundles
-        //    the id draw AND the remote insert into one open-nested
+        //    the id draw AND the remote insert into that open-nested
         //    transaction, keyed by the op index so an ancestor abort
         //    replays it idempotently (overwrite, not duplicate).
         //  - Closed variant: id generation and insert form one
-        //    closed-nested transaction, so a conflict on the counter
-        //    or the order leaf replays only this small piece.
+        //    closed-nested transaction after the think time, so a
+        //    conflict on the counter or the order leaf replays only
+        //    this small piece.
         //  - Flat: both run directly in the outer transaction; every
         //    parallel new-order conflicts on the counter (the paper's
         //    motivation for open nesting).
-        if (remote) {
-            if (statRemote)
-                ++*statRemote;
-            const Word key = remoteOrderKey(g);
-            const Word w = static_cast<Word>(p.warehouses);
-            const Word h = static_cast<Word>(home);
-            if (variant == JbbVariant::OpenNested ||
-                variant == JbbVariant::Hybrid) {
-                co_await tx.atomicOpen([&](TxThread& ti) -> SimTask {
-                    Word oid = co_await ti.ld(hs.orderIdAddr);
-                    co_await ti.st(hs.orderIdAddr, oid + 1);
-                    co_await ds.orderTree.insert(ti, key, oid * w + h);
-                });
-                co_await tx.work(
-                    static_cast<std::uint64_t>(p.thinkCycles));
-            } else if (variant == JbbVariant::ClosedNested) {
-                co_await tx.work(
-                    static_cast<std::uint64_t>(p.thinkCycles));
-                co_await tx.atomic([&](TxThread& ti) -> SimTask {
-                    Word oid = co_await ti.ld(hs.orderIdAddr);
-                    co_await ti.st(hs.orderIdAddr, oid + 1);
-                    co_await ds.orderTree.insert(ti, key, oid * w + h);
-                });
-            } else {
-                Word oid = co_await tx.ld(hs.orderIdAddr);
-                co_await tx.st(hs.orderIdAddr, oid + 1);
-                co_await tx.work(
-                    static_cast<std::uint64_t>(p.thinkCycles));
-                co_await ds.orderTree.insert(tx, key, oid * w + h);
-            }
-        } else if (variant == JbbVariant::OpenNested) {
-            Word oid = 0;
-            co_await tx.atomicOpen([&](TxThread& ti) -> SimTask {
-                oid = co_await ti.ld(hs.orderIdAddr);
-                co_await ti.st(hs.orderIdAddr, oid + 1);
+        //
+        // Whatever is left after the think time runs under treeGuard:
+        // closed-nested under Closed and Hybrid, directly otherwise.
+        if (remote && statRemote)
+            ++*statRemote;
+        const bool openId = variant == JbbVariant::OpenNested ||
+                            variant == JbbVariant::Hybrid;
+        OrderTail o{hs, ds, g, home, cust, remote, 0};
+        if (openId) {
+            co_await tx.atomicOpen([this, &o](TxThread& ti) -> SimTask {
+                co_await drawOrderId(ti, o);
+                if (o.remote)
+                    co_await insertOrder(ti, o);
             });
-            co_await tx.work(static_cast<std::uint64_t>(p.thinkCycles));
-            co_await hs.orderTree.insert(tx, localOrderKey(oid, home),
-                                         (cust << 16) | (oid & 0xFFFF));
-        } else if (variant == JbbVariant::Hybrid) {
-            // Open-nested id generation AND closed-nested insert.
-            Word oid = 0;
-            co_await tx.atomicOpen([&](TxThread& ti) -> SimTask {
-                oid = co_await ti.ld(hs.orderIdAddr);
-                co_await ti.st(hs.orderIdAddr, oid + 1);
-            });
-            co_await tx.work(static_cast<std::uint64_t>(p.thinkCycles));
-            co_await tx.atomic([&](TxThread& ti) -> SimTask {
-                co_await hs.orderTree.insert(
-                    ti, localOrderKey(oid, home),
-                    (cust << 16) | (oid & 0xFFFF));
-            });
-        } else if (variant == JbbVariant::ClosedNested) {
-            co_await tx.work(static_cast<std::uint64_t>(p.thinkCycles));
-            co_await tx.atomic([&](TxThread& ti) -> SimTask {
-                Word oid = co_await ti.ld(hs.orderIdAddr);
-                co_await ti.st(hs.orderIdAddr, oid + 1);
-                co_await hs.orderTree.insert(
-                    ti, localOrderKey(oid, home),
-                    (cust << 16) | (oid & 0xFFFF));
-            });
-        } else {
-            Word oid = co_await tx.ld(hs.orderIdAddr);
-            co_await tx.st(hs.orderIdAddr, oid + 1);
-            co_await tx.work(static_cast<std::uint64_t>(p.thinkCycles));
-            co_await hs.orderTree.insert(tx, localOrderKey(oid, home),
-                                         (cust << 16) | (oid & 0xFFFF));
+        } else if (variant == JbbVariant::Flat) {
+            co_await drawOrderId(tx, o);
         }
+        co_await tx.work(static_cast<std::uint64_t>(p.thinkCycles));
+        if (openId && remote)
+            co_return;
+        co_await treeGuard(tx, [this, &o](TxThread& ti) -> SimTask {
+            if (variant == JbbVariant::ClosedNested)
+                co_await drawOrderId(ti, o);
+            co_await insertOrder(ti, o);
+        });
     });
+}
+
+SimTask
+SpecJbbKernel::drawOrderId(TxThread& t, OrderTail& o)
+{
+    o.oid = co_await t.ld(o.home.orderIdAddr);
+    co_await t.st(o.home.orderIdAddr, o.oid + 1);
+}
+
+SimTask
+SpecJbbKernel::insertOrder(TxThread& t, OrderTail& o)
+{
+    if (o.remote) {
+        co_await o.dest.orderTree.insert(
+            t, remoteOrderKey(o.g),
+            o.oid * static_cast<Word>(p.warehouses) +
+                static_cast<Word>(o.homeIdx));
+    } else {
+        co_await o.home.orderTree.insert(t, localOrderKey(o.oid, o.homeIdx),
+                                         (o.cust << 16) | (o.oid & 0xFFFF));
+    }
 }
 
 SimTask
@@ -442,7 +421,7 @@ SpecJbbKernel::verify(Machine& m, int n_threads)
         const auto w = static_cast<std::size_t>(whFor(g));
         switch (opFor(g)) {
           case Op::NewOrder:
-            for (int k = 0; k < p.stockPerOrder; ++k)
+            for (int k = 0; k < stockPerOrder; ++k)
                 --stockRef[w][static_cast<std::size_t>(itemFor(g, k) - 1)];
             if (remoteFor(g)) {
                 const auto d = static_cast<std::size_t>(

@@ -60,7 +60,6 @@ struct JbbParams
     int customers = 256;
     /** Total stock keys across all warehouses. */
     int stockItems = 512;
-    int stockPerOrder = 3;
     /** ALU "business logic" cycles per operation phase. */
     int thinkCycles = 1000;
     /** Independent warehouse shards (trees + counter + YTD each). */
@@ -119,6 +118,25 @@ class SpecJbbKernel : public Kernel
     SimTask payment(TxThread& t, int g);
     SimTask orderStatus(TxThread& t, int g);
 
+    /** What the steps of one new order's tail share. */
+    struct OrderTail
+    {
+        /** Draws the order id; holds a local order. */
+        Shard& home;
+        /** Holds a cross-shard (remote) order. */
+        Shard& dest;
+        int g;
+        int homeIdx;
+        Word cust;
+        bool remote;
+        Word oid;
+    };
+
+    /** Draw the next order id from the home warehouse's counter. */
+    SimTask drawOrderId(TxThread& t, OrderTail& o);
+    /** Insert the order, keyed by its drawn id (see localOrderKey). */
+    SimTask insertOrder(TxThread& t, OrderTail& o);
+
     /** Run a tree operation, closed-nested under the Closed variant. */
     SimTask treeGuard(TxThread& t, TxBody body);
 
@@ -173,6 +191,8 @@ class SpecJbbKernel : public Kernel
     ZipfGen custZipf;
     ZipfGen itemZipf;
     static constexpr int districts = 4;
+    /** Stock items reserved per new order. */
+    static constexpr int stockPerOrder = 3;
 
     // Host-side workload counters (jbb.* stats; zero simulated cost).
     StatsRegistry::Counter* statNewOrder = nullptr;

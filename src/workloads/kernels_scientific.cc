@@ -62,31 +62,22 @@ SciKernel::thread(TxThread& t, int tid, int n_threads)
                                static_cast<Addr>(r) * 64);
             }
 
-            auto inners = [&](TxThread& txo) -> SimTask {
-                for (int k = 0; k < p.innerCount; ++k) {
-                    co_await txo.atomic([&](TxThread& ti) -> SimTask {
-                        Addr cell =
-                            cellsBase +
-                            static_cast<Addr>(rng.below(
-                                static_cast<std::uint64_t>(
-                                    p.sharedCells))) *
-                                64;
-                        Word v = co_await ti.ld(cell);
-                        co_await ti.work(
-                            static_cast<std::uint64_t>(p.innerCycles));
-                        co_await ti.st(cell, v + 1);
-                    });
-                }
-            };
-
-            if (!p.innersAtEnd) {
-                co_await inners(tx);
-                co_await tx.work(
-                    static_cast<std::uint64_t>(p.backCycles));
-            } else {
-                co_await tx.work(
-                    static_cast<std::uint64_t>(p.backCycles));
-                co_await inners(tx);
+            // The inner transactions come after the bulk of the outer
+            // work (mp3d-style: a late conflict costs the whole outer
+            // transaction under flattening).
+            co_await tx.work(static_cast<std::uint64_t>(p.backCycles));
+            for (int k = 0; k < p.innerCount; ++k) {
+                co_await tx.atomic([&](TxThread& ti) -> SimTask {
+                    Addr cell =
+                        cellsBase +
+                        static_cast<Addr>(rng.below(
+                            static_cast<std::uint64_t>(p.sharedCells))) *
+                            64;
+                    Word v = co_await ti.ld(cell);
+                    co_await ti.work(
+                        static_cast<std::uint64_t>(p.innerCycles));
+                    co_await ti.st(cell, v + 1);
+                });
             }
 
             // Reduction update at the very end of the outer
@@ -143,7 +134,6 @@ sciBarnes()
     p.innerCount = 4;
     p.innerCycles = 25;
     p.sharedCells = 64;
-    p.innersAtEnd = true;
     p.reductionCells = 2;
     p.reductionCycles = 110;
     p.seed = 11;
@@ -163,7 +153,6 @@ sciFmm()
     p.innerCount = 3;
     p.innerCycles = 30;
     p.sharedCells = 96;
-    p.innersAtEnd = true;
     p.reductionCells = 2;
     p.reductionCycles = 20;
     p.seed = 13;
@@ -183,7 +172,6 @@ sciMoldyn()
     p.innerCount = 3;
     p.innerCycles = 20;
     p.sharedCells = 32;
-    p.innersAtEnd = true;
     p.reductionCells = 1;
     p.reductionCycles = 140;
     p.seed = 17;
@@ -203,7 +191,6 @@ sciSwim()
     p.innerCount = 1;
     p.innerCycles = 15;
     p.sharedCells = 16;
-    p.innersAtEnd = true;
     p.reductionCells = 2;
     p.reductionCycles = 6;
     p.seed = 19;
@@ -223,7 +210,6 @@ sciTomcatv()
     p.innerCount = 2;
     p.innerCycles = 15;
     p.sharedCells = 16;
-    p.innersAtEnd = true;
     p.reductionCells = 2;
     p.reductionCycles = 45;
     p.seed = 23;
@@ -243,7 +229,6 @@ sciWater()
     p.innerCount = 4;
     p.innerCycles = 22;
     p.sharedCells = 40;
-    p.innersAtEnd = true;
     p.reductionCells = 2;
     p.reductionCycles = 70;
     p.seed = 29;

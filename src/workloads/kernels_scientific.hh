@@ -40,10 +40,6 @@ struct SciParams
     /** Number of shared cells the inner transactions update. The
      *  smaller the domain, the higher the conflict rate. */
     int sharedCells = 128;
-    /** Place the inner transactions after the bulk of the outer work
-     *  (mp3d-style: a late conflict costs the whole outer tx under
-     *  flattening). */
-    bool innersAtEnd = true;
     /** Contended reduction variables updated by one closed-nested
      *  transaction at the very end of each outer transaction (0 =
      *  none). This is the paper's "update reduction variables within

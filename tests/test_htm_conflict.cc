@@ -7,9 +7,42 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "core/machine.hh"
 #include "sim/rng.hh"
 #include "core/tx_signals.hh"
+
+// Every heap allocation in this binary goes through here, so a test
+// can count the allocations a commit makes. (The deletes stay out of
+// line: inlined next to the library's operator new, GCC would warn
+// that free() does not match it.)
+namespace {
+std::atomic<long> newCalls{0};
+} // namespace
+
+void*
+operator new(std::size_t n)
+{
+    newCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void* p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 using namespace tmsim;
 
@@ -481,4 +514,32 @@ TEST(HtmConflict, ManyCpuCounterStress)
         EXPECT_EQ(m.memory().read(a), static_cast<Word>(8 * iters))
             << htm.describe();
     }
+}
+
+TEST(HtmConflict, LazyCommitAllocatesOnlyLockEntries)
+{
+    // Warm, a validated four-line lazy write set commits with no heap
+    // allocation, and validates with at most one per line (the
+    // entries of the detector's lock table).
+    Machine m(config(HtmConfig::paperLazy(), 1));
+    const Addr base = m.memory().allocate(4 * 64, 64);
+    long validateAllocs = -1;
+    long commitAllocs = -1;
+    m.spawn(0, [&](Cpu& c) -> SimTask {
+        for (int round = 0; round < 3; ++round) {
+            co_await c.xbegin();
+            for (Addr i = 0; i < 4; ++i)
+                co_await c.store(base + i * 64, static_cast<Word>(round));
+            long before = newCalls.load();
+            co_await c.xvalidate();
+            validateAllocs = newCalls.load() - before;
+            before = newCalls.load();
+            co_await c.xcommit();
+            commitAllocs = newCalls.load() - before;
+        }
+    });
+    m.run();
+    EXPECT_EQ(commitAllocs, 0);
+    EXPECT_LE(validateAllocs, 4);
+    EXPECT_EQ(m.memory().read(base + 3 * 64), 2u);
 }

@@ -355,3 +355,42 @@ TEST(HtmSingle, OverflowedTransactionStillDetectsConflicts)
     // The conflict on the overflowed line must still be caught.
     EXPECT_GE(rollbacks, 1);
 }
+
+TEST(HtmSingle, LazyStoreAfterValidateMayOnlyOverwrite)
+{
+    // xvalidate broadcast and pinned the write set: a store to a unit
+    // already in it commits, a store to a new unit would escape both
+    // and is refused.
+    LogContext ctx;
+    ctx.quiet = true;
+    ctx.throwOnFatal = true;
+    LogScope scope(ctx);
+    Machine m(smallConfig(HtmConfig::paperLazy(), 1));
+    const Addr a = m.memory().allocate(64, 64);
+    const Addr b = m.memory().allocate(64, 64);
+    bool reStored = false;
+    m.spawn(0, [&](Cpu& c) -> SimTask {
+        co_await c.xbegin();
+        co_await c.store(a, 1);
+        co_await c.xvalidate();
+        co_await c.store(a + wordBytes, 2); // same line: same unit
+        co_await c.xcommit();
+        reStored = true;
+        co_await c.xbegin();
+        co_await c.store(a, 3);
+        co_await c.xvalidate();
+        co_await c.store(b, 4);
+        ADD_FAILURE() << "the store to a new unit went through";
+    });
+    try {
+        m.run();
+        ADD_FAILURE() << "no FatalError";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("cpu0"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(reStored);
+    EXPECT_EQ(m.memory().read(a), 1u);
+    EXPECT_EQ(m.memory().read(a + wordBytes), 2u);
+    EXPECT_EQ(m.memory().read(b), 0u);
+}

@@ -273,8 +273,8 @@ TEST(Cache, TransactionalVictimCountsAsOverflow)
     StatsRegistry stats;
     Cache c = makeCache(NestScheme::Associativity, stats);
     const Addr stride = 32 * 16;
-    c.markWrite(0, 1);
-    c.markWrite(stride, 1);
+    c.mark(0, 1, true);
+    c.mark(stride, 1, true);
     EvictInfo e = c.fill(2 * stride);
     EXPECT_TRUE(e.evicted);
     EXPECT_TRUE(e.transactional);
@@ -285,16 +285,16 @@ TEST(Cache, MultiTrackingPerLevelBits)
 {
     StatsRegistry stats;
     Cache c = makeCache(NestScheme::MultiTracking, stats);
-    c.markRead(0x100, 1);
-    c.markWrite(0x100, 2);
-    EXPECT_TRUE(c.isRead(0x100, 1));
-    EXPECT_FALSE(c.isRead(0x100, 2));
-    EXPECT_TRUE(c.isWritten(0x100, 2));
+    c.mark(0x100, 1, false);
+    c.mark(0x100, 2, true);
+    EXPECT_TRUE(c.marked(0x100, 1, false));
+    EXPECT_FALSE(c.marked(0x100, 2, false));
+    EXPECT_TRUE(c.marked(0x100, 2, true));
     EXPECT_EQ(c.versionCount(0x100), 1); // single line, multiple bits
 
     c.mergeLevelDown(2);
-    EXPECT_TRUE(c.isWritten(0x100, 1));
-    EXPECT_FALSE(c.isWritten(0x100, 2));
+    EXPECT_TRUE(c.marked(0x100, 1, true));
+    EXPECT_FALSE(c.marked(0x100, 2, true));
 
     c.clearLevel(1);
     EXPECT_FALSE(c.hasTxMeta(0x100));
@@ -305,25 +305,25 @@ TEST(Cache, AssociativityVersionReplication)
 {
     StatsRegistry stats;
     Cache c = makeCache(NestScheme::Associativity, stats, 4);
-    c.markWrite(0x100, 1);
-    c.markWrite(0x100, 2); // child writes too: new version
+    c.mark(0x100, 1, true);
+    c.mark(0x100, 2, true); // child writes too: new version
     EXPECT_EQ(c.versionCount(0x100), 2);
     EXPECT_EQ(stats.value("test.version_replications"), 1u);
-    EXPECT_TRUE(c.isWritten(0x100, 1));
-    EXPECT_TRUE(c.isWritten(0x100, 2));
+    EXPECT_TRUE(c.marked(0x100, 1, true));
+    EXPECT_TRUE(c.marked(0x100, 2, true));
 
     // Closed commit merges the child version into the parent's.
     c.mergeLevelDown(2);
     EXPECT_EQ(c.versionCount(0x100), 1);
-    EXPECT_TRUE(c.isWritten(0x100, 1));
+    EXPECT_TRUE(c.marked(0x100, 1, true));
 }
 
 TEST(Cache, AssociativityRollbackKeepsReadOnlyData)
 {
     StatsRegistry stats;
     Cache c = makeCache(NestScheme::Associativity, stats, 4);
-    c.markRead(0x100, 1); // clean read
-    c.markWrite(0x140, 1); // dirty speculative
+    c.mark(0x100, 1, false); // clean read
+    c.mark(0x140, 1, true); // dirty speculative
     c.clearLevel(1);
     // Committed (clean) data survives the rollback...
     EXPECT_TRUE(c.contains(0x100));
@@ -335,7 +335,7 @@ TEST(Cache, OpenCommitKeepsDataDropsAnnotations)
 {
     StatsRegistry stats;
     Cache c = makeCache(NestScheme::Associativity, stats, 4);
-    c.markWrite(0x100, 2);
+    c.mark(0x100, 2, true);
     c.commitOpenLevel(2);
     EXPECT_TRUE(c.contains(0x100));
     EXPECT_FALSE(c.hasTxMeta(0x100));
@@ -346,7 +346,7 @@ TEST(Cache, InvalidateNonSpecLeavesTxLines)
     StatsRegistry stats;
     Cache c = makeCache(NestScheme::Associativity, stats, 4);
     c.fill(0x100);
-    c.markWrite(0x140, 1);
+    c.mark(0x140, 1, true);
     c.invalidateNonSpec(0x100);
     c.invalidateNonSpec(0x140);
     EXPECT_FALSE(c.contains(0x100));
@@ -374,12 +374,12 @@ lifeOf(Cache& c, Addr a)
 {
     std::vector<Seen> seen;
     auto observe = [&] {
-        seen.push_back({c.contains(a), c.hasTxMeta(a), c.isWritten(a, 1),
+        seen.push_back({c.contains(a), c.hasTxMeta(a), c.marked(a, 1, true),
                         c.versionCount(a), c.txLineCount()});
     };
     c.fill(a);
     observe();
-    c.markWrite(a, 1);
+    c.mark(a, 1, true);
     observe();
     c.clearLevel(1);
     observe();
@@ -513,8 +513,8 @@ workout(Cache& c, const StatsRegistry& stats, const std::string& name)
             trace.push_back(c.hasTxMeta(a));
             trace.push_back(static_cast<std::uint64_t>(c.versionCount(a)));
             for (int level = 1; level <= 3; ++level) {
-                trace.push_back(c.isRead(a, level));
-                trace.push_back(c.isWritten(a, level));
+                trace.push_back(c.marked(a, level, false));
+                trace.push_back(c.marked(a, level, true));
             }
         }
         trace.push_back(c.txLineCount());
@@ -526,23 +526,23 @@ workout(Cache& c, const StatsRegistry& stats, const std::string& name)
     c.lookup(2 * stride); // a hit
     c.lookup(0x40);
     observe();
-    c.markRead(0, 1);
-    c.markWrite(0x40, 1);
-    c.markWrite(0x40, 2); // a second version under Associativity
-    c.markRead(0x80, 3);
+    c.mark(0, 1, false);
+    c.mark(0x40, 1, true);
+    c.mark(0x40, 2, true); // a second version under Associativity
+    c.mark(0x80, 3, false);
     observe();
     c.mergeLevelDown(3);
     c.mergeLevelDown(2);
     observe();
-    c.markWrite(0xc0, 2);
-    c.markRead(0x100, 2);
+    c.mark(0xc0, 2, true);
+    c.mark(0x100, 2, false);
     c.commitOpenLevel(2);
     observe();
-    c.markWrite(0x100, 2);
-    c.markRead(3 * stride, 2);
+    c.mark(0x100, 2, true);
+    c.mark(3 * stride, 2, false);
     c.clearLevel(2);
     observe();
-    c.markWrite(stride + 0x40, 1);
+    c.mark(stride + 0x40, 1, true);
     c.fill(2 * stride + 0x40); // a third line in set 2
     observe();
     c.invalidateNonSpec(0x80);
@@ -550,8 +550,8 @@ workout(Cache& c, const StatsRegistry& stats, const std::string& name)
     observe();
     c.clearAllTx();
     observe();
-    c.markWrite(0, 1);
-    c.markRead(0x100, 2);
+    c.mark(0, 1, true);
+    c.mark(0x100, 2, false);
     observe();
     for (const char* stat : {".hits", ".misses", ".evictions",
                              ".tx_overflows", ".version_replications"})
@@ -695,7 +695,7 @@ TEST(Cache, FreedAfterItsThreadsPoolStillUnmaps)
         thread_local std::unique_ptr<Cache> late;
         late = std::make_unique<Cache>("late", smallGeom,
                                        NestScheme::MultiTracking, 4, stats);
-        late->markWrite(0x40, 1);
+        late->mark(0x40, 1, true);
     }).join();
     EXPECT_EQ(tagMemory().bytesMapped, before);
 }

@@ -448,3 +448,41 @@ TEST(Nesting, UndoLogClosedNestingRestoresPerLevel)
     EXPECT_EQ(m.memory().read(a), 11u);
     EXPECT_EQ(m.memory().read(b), 20u);
 }
+
+TEST(Nesting, ClosedChildMayNotGrowValidatedParentWriteSet)
+{
+    // A closed child of a validated lazy parent merges into the set
+    // that xvalidate broadcast and pinned: rewriting the parent's units
+    // merges and commits, a new unit is refused.
+    LogContext ctx;
+    ctx.quiet = true;
+    ctx.throwOnFatal = true;
+    LogScope scope(ctx);
+    Machine m(config(HtmConfig::paperLazy(), 1));
+    const Addr a = m.memory().allocate(64, 64);
+    const Addr b = m.memory().allocate(64, 64);
+    bool rewroteParentUnit = false;
+    m.spawn(0, [&](Cpu& c) -> SimTask {
+        co_await c.xbegin();
+        co_await c.store(a, 1);
+        co_await c.xvalidate();
+        co_await c.xbegin(); // closed child of the validated parent
+        co_await c.store(a, 2);
+        co_await c.xvalidate();
+        co_await c.xcommit();
+        co_await c.xcommit();
+        rewroteParentUnit = true;
+        co_await c.xbegin();
+        co_await c.store(a, 3);
+        co_await c.xvalidate();
+        co_await c.xbegin();
+        co_await c.store(b, 4); // the child's own set: not yet merged
+        co_await c.xvalidate();
+        co_await c.xcommit();
+        ADD_FAILURE() << "the merge of a new unit went through";
+    });
+    EXPECT_THROW(m.run(), FatalError);
+    EXPECT_TRUE(rewroteParentUnit);
+    EXPECT_EQ(m.memory().read(a), 2u);
+    EXPECT_EQ(m.memory().read(b), 0u);
+}
